@@ -172,8 +172,8 @@ fn forward_batch_entries(
 /// (`PAR_MIN_LEN`), so the lane-packed path engages at every width on any
 /// machine. Widths the CPU cannot execute (`force` clamps them) are
 /// skipped — the committed baselines assume an AVX2-capable x86-64 host,
-/// which every hosted CI runner provides. `force` is process-global; this
-/// sweep runs single-threaded and restores auto-detection afterwards.
+/// which every hosted CI runner provides. Each width runs under its own
+/// `force` guard, which restores auto-detection when it drops.
 fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
     const N: usize = 128;
     const B: usize = 8;
@@ -200,7 +200,7 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
     let kernels = ["fft2_batch", "transfer_apply", "detector_readout"];
     let mut medians = [[0.0f64; 3]; 3];
     for (w, &(name, level)) in widths.iter().enumerate() {
-        simd::force(Some(level));
+        let _dispatch = simd::force(Some(level));
         if simd::dispatch() != level {
             // Clamped: this CPU cannot execute the requested width.
             continue;
@@ -241,7 +241,6 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
             }
         }
     }
-    simd::force(None);
     entries.push((
         "simd_lanes/dispatch_width".to_string(),
         simd::dispatch().lanes() as f64,
@@ -354,6 +353,8 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"lr-bench\",");
     let _ = writeln!(json, "  \"threads\": {},", parallel::threads());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",

@@ -182,13 +182,10 @@ impl Detector {
     /// a [`FieldBatch`] has no `Field` wrapper).
     ///
     /// Each region row reduces through [`lr_tensor::simd::sum_norm_sqr`],
-    /// vectorized at the runtime SIMD dispatch level. The lane-partial
-    /// reduction re-associates the sum, so readout is the one entry point
-    /// whose equivalence contract is tolerance-based rather than bitwise:
-    /// scalar dispatch (`LR_SIMD=scalar`) is the exact sequential oracle
-    /// and wider dispatch agrees within ≤1e-12 relative error. Batched and
-    /// per-sample readout share this kernel, so they remain exactly equal
-    /// to *each other* at every dispatch level.
+    /// vectorized at the runtime SIMD dispatch level. Its fixed
+    /// four-accumulator tree sums in the same order at every lane width,
+    /// so readouts are bitwise identical at every dispatch level, and
+    /// batched and per-sample readout share this kernel.
     ///
     /// # Panics
     ///

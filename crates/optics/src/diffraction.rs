@@ -544,7 +544,7 @@ impl FreeSpace {
         );
         match &self.inner {
             Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_slice_with(plane, transfer, &mut scratch.fft);
+                fft.convolve_spectrum_batch_with(plane, transfer, &mut scratch.fft);
             }
             Inner::SingleFourier {
                 post_phase,
@@ -655,7 +655,7 @@ impl FreeSpace {
         );
         match &self.inner {
             Inner::Spectral { transfer, fft } => {
-                fft.convolve_spectrum_adjoint_slice_with(plane, transfer, &mut scratch.fft);
+                fft.convolve_spectrum_adjoint_batch_with(plane, transfer, &mut scratch.fft);
             }
             Inner::SingleFourier {
                 post_phase,

@@ -27,25 +27,28 @@
 //!   materialized (earlier revisions allocated two full fields per 2-D
 //!   transform). Large fields additionally split their row/column loops
 //!   across the persistent worker pool (`crate::parallel`).
+//! * **One kernel per plan kind**, generic over the lane type
+//!   `V: SimdF64` ([`crate::simd`]). Per-sample execution is the one-lane
+//!   instance ([`simd::F64x1`]) run in place on the `Complex64` plane — at
+//!   one lane the packed split re/im layout *is* the `#[repr(C)]` sample
+//!   layout — and batched execution runs the same kernels two or four
+//!   planes at a time.
 //! * **Batched entry points**: [`Fft2::fft2_batch_with`] /
 //!   [`Fft2::ifft2_batch_with`] (and the direction-generic
 //!   [`Fft2::process_batch_with`]) transform every plane of a
 //!   [`FieldBatch`] with **one plan lookup** and one shared
 //!   [`BatchWorkspace`], streaming the same precomputed twiddles across
-//!   all `B` planes. Every plane runs the identical strided
-//!   radix-4/Stockham pipeline as the per-sample path
-//!   ([`Fft2::process_slice_with`] is the single shared kernel), so
-//!   batched and per-sample transforms are **bit-identical** — the
-//!   invariant the whole batched propagation stack (lr-optics
-//!   `propagate_batch_into`, lr-core `infer_batch_into`, the lr-serve
-//!   dispatcher) is built on.
+//!   all `B` planes. Batched and per-sample transforms are
+//!   **bit-identical** — the invariant the whole batched propagation
+//!   stack (lr-optics `propagate_batch_into`, lr-core `infer_batch_into`,
+//!   the lr-serve dispatcher) is built on.
 //!
 //! # Workspace-reuse contract
 //!
 //! All per-call scratch lives in an [`Fft2Workspace`] (2-D), a
-//! [`BatchWorkspace`] (batched 2-D — one per-plane workspace shared by all
-//! planes, sized independently of the batch count), or a plain
-//! `Vec<Complex64>` (1-D, from [`FftPlan::make_scratch`]):
+//! [`BatchWorkspace`] (batched 2-D — one workspace shared by all planes,
+//! sized independently of the batch count), or a plain `Vec<Complex64>`
+//! (1-D, from [`FftPlan::make_scratch`]):
 //!
 //! * **Ownership** — the *caller* owns workspaces and passes them by
 //!   `&mut`. [`Fft2::process_with`] performs **zero heap allocations** once
@@ -80,7 +83,7 @@
 //! reference-Bluestein kernels and the fast paths agree with it to
 //! ≤ 1e-12 relative (`radix4_agrees_with_reference_butterflies`).
 //!
-//! # Cross-plane SIMD (batched entry points)
+//! # Lane kernels and the equivalence contract
 //!
 //! The batched entry points ([`Fft2::process_batch_with`],
 //! [`Fft2::convolve_spectrum_batch_with`], …) vectorize **across batch
@@ -88,38 +91,35 @@
 //! split re/im, lane-major layout (element `i` holds
 //! `[re₀‥re_{L−1}, im₀‥im_{L−1}]`), so one twiddle load drives `L` planes
 //! through the identical butterfly and every complex multiply is plain
-//! lanewise arithmetic — no shuffles. The lane width comes from
-//! [`crate::simd::dispatch`] (SSE2 baseline / AVX2 by runtime detection on
-//! x86-64, NEON on aarch64, scalar elsewhere; `LR_SIMD=scalar|x2|x4`
-//! overrides), and the kernel profile attributes batched FFT time to
-//! `simd_scalar` / `simd_sse2` / `simd_avx2` / `simd_neon` cells.
+//! lanewise arithmetic — no shuffles. Remainder planes, per-sample calls
+//! and forced-scalar dispatch run the one-lane instance in place. The lane
+//! width comes from [`crate::simd::dispatch`] (SSE2 baseline / AVX2 by
+//! runtime detection on x86-64, NEON on aarch64, one lane elsewhere;
+//! `LR_SIMD=scalar|x2|x4` overrides), and the kernel profile attributes
+//! batched FFT time to `simd_scalar` / `simd_sse2` / `simd_avx2` /
+//! `simd_neon` cells.
 //!
-//! **Equivalence contract** (the renegotiated workspace-reuse contract):
-//! every vector lane executes the *exact scalar operation sequence* of the
-//! per-plane kernel, so batched results stay **bitwise identical** to the
-//! per-sample path at every dispatch level — including forced-scalar
-//! (`LR_SIMD=scalar`), which simply routes each plane through
-//! [`Fft2::process_slice_with`] unchanged. The serve-path bit-identity
-//! guarantee is therefore preserved unconditionally for the FFT and
-//! transfer-apply kernels. The one tolerance-renegotiated entry point is
-//! the detector readout ([`crate::simd::sum_norm_sqr`]): its lane-partial
-//! reduction re-associates the intensity sum, and scalar remains the
-//! oracle within a documented **≤ 1e-12 relative** tolerance (batched and
-//! per-sample detector readouts share one kernel, so batched-vs-per-sample
-//! stays exact; only SIMD-vs-scalar is tolerance-checked).
+//! **Equivalence contract** (one tier): every lane of every width executes
+//! the exact operation sequence of the one-lane instance, so results are
+//! **bitwise identical** at every dispatch level, and batched results are
+//! bitwise identical to per-sample ones. The detector readout
+//! ([`crate::simd::sum_norm_sqr`]) meets the same contract through its
+//! fixed reduction tree. No tolerance is negotiated on any of these paths.
 //!
-//! SIMD staging buffers live in [`Fft2Workspace`] but are **empty until a
-//! batched entry point is used** (or [`Fft2::prepare_batch_workspace`]
-//! sizes them eagerly), so per-sample workspaces pay nothing. Pooled
-//! multi-thread execution (`PAR_MIN_LEN`) keeps the scalar per-plane
-//! kernels — lane packing engages on the sequential path only.
+//! The one-lane buffers (plan scratch and column staging) are sized by
+//! [`Fft2::make_workspace`]. The packed group buffer for `L ≥ 2` stays
+//! **empty until a batched entry point is used** (or
+//! [`Fft2::prepare_batch_workspace`] sizes it eagerly), so per-sample
+//! workspaces pay nothing for it. Pooled multi-thread execution
+//! (`PAR_MIN_LEN`) splits one-lane row and column passes across the pool;
+//! lane packing engages on the sequential path only.
 
 use crate::batch::FieldBatch;
 use crate::complex::Complex64;
 use crate::field::Field;
 use crate::parallel;
 use crate::pinned_cache::PinnedCache;
-use crate::simd::{self, SimdF64, SimdLevel};
+use crate::simd::{self, F64x1, SimdF64, SimdLevel};
 use lr_obs::{KernelKind, KernelTimer};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -315,18 +315,25 @@ impl FftPlan {
         vec![Complex64::ZERO; self.scratch_len()]
     }
 
-    /// Transforms `data` in place.
+    /// Transforms `data` in place with the one-lane instance of the plan's
+    /// kernel. Grows `scratch` to [`FftPlan::scratch_len`] if it is shorter
+    /// (a buffer from [`FftPlan::make_scratch`] never allocates).
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex64], dir: Direction, scratch: &mut Vec<Complex64>) {
-        self.process_impl(data, dir, scratch, false);
+        assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
+        if scratch.len() < self.scratch_len() {
+            scratch.resize(self.scratch_len(), Complex64::ZERO);
+        }
+        self.process_v::<F64x1>(interleaved_mut(data), dir, interleaved_mut(scratch));
     }
 
     /// Transforms `data` in place with the pre-optimization kernels: plain
-    /// radix-2 butterflies, no stage fusion. Kept as the bit-level oracle
-    /// for the radix-4 path and as the baseline the perf artifacts
+    /// radix-2 butterflies, no stage fusion, and the reference Bluestein
+    /// pipeline for every other length. Kept as the independent oracle for
+    /// the fast kernels and as the baseline the perf artifacts
     /// (`BENCH_kernels.json`) compare against.
     ///
     /// # Panics
@@ -338,35 +345,21 @@ impl FftPlan {
         dir: Direction,
         scratch: &mut Vec<Complex64>,
     ) {
-        self.process_impl(data, dir, scratch, true);
-    }
-
-    fn process_impl(
-        &self,
-        data: &mut [Complex64],
-        dir: Direction,
-        scratch: &mut Vec<Complex64>,
-        reference: bool,
-    ) {
         assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
+        let forward = |data: &mut [Complex64], scratch: &mut Vec<Complex64>| match &self.kind {
+            PlanKind::Radix2(p) => p.forward_reference(data),
+            PlanKind::Mixed { reference, .. }
+            | PlanKind::Rader { reference, .. }
+            | PlanKind::Bluestein(reference) => reference.forward_reference(data, scratch),
+        };
         match dir {
-            Direction::Forward => self.forward(data, scratch, reference),
+            Direction::Forward => forward(data, scratch),
             Direction::Inverse => {
-                if let (PlanKind::Radix2(p), false) = (&self.kind, reference) {
-                    // Conjugated-twiddle kernel: bit-identical to the
-                    // conj(F(conj(·)))/n sandwich, two passes cheaper.
-                    p.backward_noscale(data);
-                    let inv_n = 1.0 / self.n as f64;
-                    for z in data.iter_mut() {
-                        *z *= inv_n;
-                    }
-                    return;
-                }
                 // x = conj(F(conj(X))) / n
                 for z in data.iter_mut() {
                     *z = z.conj();
                 }
-                self.forward(data, scratch, reference);
+                forward(data, scratch);
                 let inv_n = 1.0 / self.n as f64;
                 for z in data.iter_mut() {
                     *z = z.conj() * inv_n;
@@ -375,45 +368,12 @@ impl FftPlan {
         }
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, reference: bool) {
-        match &self.kind {
-            PlanKind::Radix2(p) => {
-                if reference {
-                    p.forward_reference(data);
-                } else {
-                    p.forward(data);
-                }
-            }
-            PlanKind::Mixed {
-                mixed,
-                reference: oracle,
-            } => {
-                if reference {
-                    oracle.forward_reference(data, scratch);
-                } else {
-                    mixed.forward(data, scratch);
-                }
-            }
-            PlanKind::Rader {
-                rader,
-                reference: oracle,
-            } => {
-                if reference {
-                    oracle.forward_reference(data, scratch);
-                } else {
-                    rader.forward(data, scratch);
-                }
-            }
-            PlanKind::Bluestein(p) => p.forward(data, scratch, reference),
-        }
-    }
-
-    /// Lane-packed variant of [`FftPlan::process`]: transforms `V::LANES`
-    /// independent length-`n` signals stored in the split re/im lane-major
-    /// layout (element `i` at `data[i·2L..]` holds `L` re then `L` im
-    /// values). Every lane performs the scalar kernel's exact operation
-    /// sequence, so per-lane results are bitwise identical to
-    /// [`FftPlan::process`]. `scratch` must hold `scratch_len()·2L` f64s.
+    /// The plan's one kernel: transforms `V::LANES` independent length-`n`
+    /// signals stored in the split re/im lane-major layout (element `i` at
+    /// `data[i·2L..]` holds `L` re then `L` im values). Every lane performs
+    /// the same operation sequence, so per-lane results are bitwise
+    /// identical at every width. `scratch` must hold `scratch_len()·2L`
+    /// f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn process_v<V: SimdF64>(&self, data: &mut [f64], dir: Direction, scratch: &mut [f64]) {
         debug_assert_eq!(data.len(), self.n * 2 * V::LANES);
@@ -421,12 +381,13 @@ impl FftPlan {
             Direction::Forward => self.forward_v::<V>(data, scratch),
             Direction::Inverse => {
                 if let PlanKind::Radix2(p) = &self.kind {
-                    // Mirrors the scalar conjugated-twiddle inverse.
+                    // Conjugated-twiddle kernel: bit-identical to the
+                    // conj(F(conj(·)))/n sandwich, two passes cheaper.
                     p.butterflies_v::<V, true>(data);
                     scale_packed::<V>(data, 1.0 / self.n as f64);
                     return;
                 }
-                // x = conj(F(conj(X))) / n — the scalar sandwich, lanewise.
+                // x = conj(F(conj(X))) / n
                 conj_packed::<V>(data);
                 self.forward_v::<V>(data, scratch);
                 conj_scale_packed::<V>(data, 1.0 / self.n as f64);
@@ -445,9 +406,20 @@ impl FftPlan {
     }
 }
 
+/// Views samples as their interleaved `[re, im, …]` f64 stream — the packed
+/// lane layout at `L = 1`, so one-lane kernels run on sample buffers in
+/// place.
+#[inline(always)]
+fn interleaved_mut(samples: &mut [Complex64]) -> &mut [f64] {
+    // SAFETY: Complex64 is #[repr(C)] { re: f64, im: f64 } — two f64s, no
+    // padding, f64 alignment — so `len` samples are exactly `2·len` f64s,
+    // borrowed exclusively for the returned lifetime.
+    unsafe { std::slice::from_raw_parts_mut(samples.as_mut_ptr().cast::<f64>(), 2 * samples.len()) }
+}
+
 /// A complex number per vector lane, in split re/im form. The arithmetic
-/// mirrors [`Complex64`]'s formulas operation-for-operation, which is what
-/// makes the lane-packed kernels bitwise identical to the scalar path.
+/// mirrors [`Complex64`]'s formulas operation-for-operation, so a lane
+/// computes exactly what `Complex64` arithmetic would.
 #[derive(Clone, Copy)]
 struct VComplex<V> {
     re: V,
@@ -520,8 +492,7 @@ impl<V: SimdF64> VComplex<V> {
         }
     }
 
-    /// `∓j` rotation exactly as the scalar butterflies write it:
-    /// forward `(im, −re)`, inverse `(−im, re)`.
+    /// `∓j` rotation: forward `(im, −re)`, inverse `(−im, re)`.
     #[inline(always)]
     fn rot<const INV: bool>(self) -> Self {
         if INV {
@@ -704,7 +675,7 @@ impl Radix2Plan {
         }
     }
 
-    /// Bit-reversal permutation shared by both butterfly kernels.
+    /// Bit-reversal permutation of the reference kernel.
     #[inline]
     fn permute(&self, data: &mut [Complex64]) {
         for (i, &r) in self.bitrev.iter().enumerate() {
@@ -715,184 +686,15 @@ impl Radix2Plan {
         }
     }
 
-    /// Iterative decimation-in-time FFT with stages fused in pairs into
-    /// radix-4 butterflies (one pass over the data per pair instead of
-    /// two). `e^{-2πi/n}` kernel.
-    fn forward(&self, data: &mut [Complex64]) {
-        self.butterflies::<false>(data);
-    }
-
-    /// The unnormalized inverse (`e^{+2πi/n}` kernel, no `1/n`): the same
-    /// butterfly network with conjugated twiddles. Lets Bluestein's inner
-    /// inverse run without the two extra conjugation passes of
-    /// `conj(F(conj(·)))`.
-    fn backward_noscale(&self, data: &mut [Complex64]) {
-        self.butterflies::<true>(data);
-    }
-
-    /// Radix-4 butterfly network over bit-reversed data. The twiddle
-    /// stream is precomputed per stage in traversal order; the `k = 0`
-    /// lane (twiddles `1, 1, ∓j`) is special-cased to pure adds/swaps.
-    fn butterflies<const INV: bool>(&self, data: &mut [Complex64]) {
-        #[inline(always)]
-        fn mul_tw<const INV: bool>(a: Complex64, w: Complex64) -> Complex64 {
-            if INV {
-                a * w.conj()
-            } else {
-                a * w
-            }
-        }
-        let n = data.len();
-        if n <= 1 {
-            return;
-        }
-        self.permute(data);
-        let ptr = data.as_mut_ptr();
-        match &self.leading {
-            Leading::None => {}
-            Leading::Radix2 => {
-                // n = 2: a single radix-2 pair (twiddle 1).
-                let mut base = 0;
-                while base < n {
-                    // SAFETY: base + 1 < n (n is even here).
-                    unsafe {
-                        let a = *ptr.add(base);
-                        let b = *ptr.add(base + 1);
-                        *ptr.add(base) = a + b;
-                        *ptr.add(base + 1) = a - b;
-                    }
-                    base += 2;
-                }
-            }
-            Leading::Radix8 { w1, w3 } => {
-                // Odd stage count, n ≥ 8: one radix-8 butterfly — the exact
-                // composition of the three opening radix-2 levels (lengths
-                // 2, 4, 8) with twiddles 1, ∓j, w₈^{±1}, w₈^{±3} — brings
-                // the remaining count even for the radix-4 passes.
-                let (w1, w3) = if INV {
-                    (w1.conj(), w3.conj())
-                } else {
-                    (*w1, *w3)
-                };
-                let rot = |x: Complex64| {
-                    if INV {
-                        Complex64::new(-x.im, x.re)
-                    } else {
-                        Complex64::new(x.im, -x.re)
-                    }
-                };
-                let mut base = 0;
-                while base < n {
-                    // SAFETY: base + 7 < n (n is a multiple of 8 here).
-                    unsafe {
-                        let a0 = *ptr.add(base);
-                        let a1 = *ptr.add(base + 1);
-                        let a2 = *ptr.add(base + 2);
-                        let a3 = *ptr.add(base + 3);
-                        let a4 = *ptr.add(base + 4);
-                        let a5 = *ptr.add(base + 5);
-                        let a6 = *ptr.add(base + 6);
-                        let a7 = *ptr.add(base + 7);
-                        // Level 1 (pairs).
-                        let b0 = a0 + a1;
-                        let b1 = a0 - a1;
-                        let b2 = a2 + a3;
-                        let b3 = a2 - a3;
-                        let b4 = a4 + a5;
-                        let b5 = a4 - a5;
-                        let b6 = a6 + a7;
-                        let b7 = a6 - a7;
-                        // Level 2 (quartets, twiddles 1 and ∓j).
-                        let t3 = rot(b3);
-                        let t7 = rot(b7);
-                        let c0 = b0 + b2;
-                        let c2 = b0 - b2;
-                        let c1 = b1 + t3;
-                        let c3 = b1 - t3;
-                        let c4 = b4 + b6;
-                        let c6 = b4 - b6;
-                        let c5 = b5 + t7;
-                        let c7 = b5 - t7;
-                        // Level 3 (octet, twiddles 1, w₈, ∓j, w₈³).
-                        let e5 = c5 * w1;
-                        let t6 = rot(c6);
-                        let e7 = c7 * w3;
-                        *ptr.add(base) = c0 + c4;
-                        *ptr.add(base + 4) = c0 - c4;
-                        *ptr.add(base + 1) = c1 + e5;
-                        *ptr.add(base + 5) = c1 - e5;
-                        *ptr.add(base + 2) = c2 + t6;
-                        *ptr.add(base + 6) = c2 - t6;
-                        *ptr.add(base + 3) = c3 + e7;
-                        *ptr.add(base + 7) = c3 - e7;
-                    }
-                    base += 8;
-                }
-            }
-        }
-        for stage in &self.fused {
-            let h = stage.half;
-            let block = 4 * h;
-            let tw = stage.tw.as_ptr();
-            let mut base = 0;
-            while base < n {
-                // SAFETY: every index below is < base + 4h ≤ n, and the
-                // twiddle stream holds 3·(h−1) entries read at ti < 3(h−1).
-                unsafe {
-                    // k = 0: wa = wb0 = 1, wb1 = ∓j — no multiplies.
-                    let p0 = ptr.add(base);
-                    let p1 = ptr.add(base + h);
-                    let p2 = ptr.add(base + 2 * h);
-                    let p3 = ptr.add(base + 3 * h);
-                    let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
-                    let u0 = a0 + a1;
-                    let u1 = a0 - a1;
-                    let u2 = a2 + a3;
-                    let u3 = a2 - a3;
-                    let v1 = if INV {
-                        Complex64::new(-u3.im, u3.re)
-                    } else {
-                        Complex64::new(u3.im, -u3.re)
-                    };
-                    *p0 = u0 + u2;
-                    *p2 = u0 - u2;
-                    *p1 = u1 + v1;
-                    *p3 = u1 - v1;
-                    let mut ti = 0;
-                    for k in 1..h {
-                        let wa = *tw.add(ti);
-                        let wb0 = *tw.add(ti + 1);
-                        let wb1 = *tw.add(ti + 2);
-                        ti += 3;
-                        let p0 = ptr.add(base + k);
-                        let p1 = ptr.add(base + k + h);
-                        let p2 = ptr.add(base + k + 2 * h);
-                        let p3 = ptr.add(base + k + 3 * h);
-                        let a0 = *p0;
-                        let a1 = mul_tw::<INV>(*p1, wa);
-                        let a2 = *p2;
-                        let a3 = mul_tw::<INV>(*p3, wa);
-                        let u0 = a0 + a1;
-                        let u1 = a0 - a1;
-                        let u2 = a2 + a3;
-                        let u3 = a2 - a3;
-                        let v0 = mul_tw::<INV>(u2, wb0);
-                        let v1 = mul_tw::<INV>(u3, wb1);
-                        *p0 = u0 + v0;
-                        *p2 = u0 - v0;
-                        *p1 = u1 + v1;
-                        *p3 = u1 - v1;
-                    }
-                }
-                base += block;
-            }
-        }
-    }
-
-    /// Lane-packed mirror of [`Radix2Plan::butterflies`]: the identical
-    /// permutation/leading/fused-stage network with every scalar operation
-    /// replaced by its lanewise counterpart in the same order, so each
-    /// lane's result is bitwise identical to the scalar kernel.
+    /// Iterative decimation-in-time FFT over packed lanes: bit-reversal
+    /// permutation, the optional leading radix-2/radix-8 stage, then stages
+    /// fused in pairs into radix-4 butterflies (one pass over the data per
+    /// pair instead of two). The twiddle stream is precomputed per stage in
+    /// traversal order; the `k = 0` lane (twiddles `1, 1, ∓j`) is
+    /// special-cased to pure adds/swaps. `INV` selects the unnormalized
+    /// inverse (`e^{+2πi/n}` kernel, no `1/n`): the same network with
+    /// conjugated twiddles, which lets Bluestein's and Rader's inner
+    /// inverses skip the two conjugation passes of `conj(F(conj(·)))`.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn butterflies_v<V: SimdF64, const INV: bool>(&self, data: &mut [f64]) {
         #[inline(always)]
@@ -922,6 +724,7 @@ impl Radix2Plan {
         match &self.leading {
             Leading::None => {}
             Leading::Radix2 => {
+                // n = 2: a single radix-2 pair (twiddle 1).
                 let mut base = 0;
                 while base < n {
                     // SAFETY: base + 1 < n (n is even here).
@@ -937,6 +740,10 @@ impl Radix2Plan {
                 }
             }
             Leading::Radix8 { w1, w3 } => {
+                // Odd stage count, n ≥ 8: one radix-8 butterfly — the exact
+                // composition of the three opening radix-2 levels (lengths
+                // 2, 4, 8) with twiddles 1, ∓j, w₈^{±1}, w₈^{±3} — brings
+                // the remaining count even for the radix-4 passes.
                 let (w1, w3) = if INV {
                     (w1.conj(), w3.conj())
                 } else {
@@ -957,6 +764,7 @@ impl Radix2Plan {
                         let a5 = VComplex::<V>::load(ptr.add((base + 5) * stride));
                         let a6 = VComplex::<V>::load(ptr.add((base + 6) * stride));
                         let a7 = VComplex::<V>::load(ptr.add((base + 7) * stride));
+                        // Level 1 (pairs).
                         let b0 = a0.add(a1);
                         let b1 = a0.sub(a1);
                         let b2 = a2.add(a3);
@@ -965,6 +773,7 @@ impl Radix2Plan {
                         let b5 = a4.sub(a5);
                         let b6 = a6.add(a7);
                         let b7 = a6.sub(a7);
+                        // Level 2 (quartets, twiddles 1 and ∓j).
                         let t3 = b3.rot::<INV>();
                         let t7 = b7.rot::<INV>();
                         let c0 = b0.add(b2);
@@ -975,6 +784,7 @@ impl Radix2Plan {
                         let c6 = b4.sub(b6);
                         let c5 = b5.add(t7);
                         let c7 = b5.sub(t7);
+                        // Level 3 (octet, twiddles 1, w₈, ∓j, w₈³).
                         let e5 = c5.mul(w1);
                         let t6 = c6.rot::<INV>();
                         let e7 = c7.mul(w3);
@@ -999,8 +809,9 @@ impl Radix2Plan {
             while base < n {
                 // SAFETY: every packed element index below is
                 // < base + 4h ≤ n, and the twiddle stream holds 3·(h−1)
-                // entries read at ti < 3(h−1) — as in the scalar kernel.
+                // entries read at ti < 3(h−1).
                 unsafe {
+                    // k = 0: wa = wb0 = 1, wb1 = ∓j — no multiplies.
                     let p0 = ptr.add(base * stride);
                     let p1 = ptr.add((base + h) * stride);
                     let p2 = ptr.add((base + 2 * h) * stride);
@@ -1092,7 +903,7 @@ impl BluesteinPlan {
                 b[m - j] = chirp[j].conj();
             }
         }
-        inner.forward(&mut b);
+        inner.butterflies_v::<F64x1, false>(interleaved_mut(&mut b));
         let inv_m = 1.0 / m as f64;
         let post_chirp = chirp.iter().map(|&c| c * inv_m).collect();
         BluesteinPlan {
@@ -1104,44 +915,15 @@ impl BluesteinPlan {
         }
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, reference: bool) {
-        if reference {
-            self.forward_reference(data, scratch);
-            return;
-        }
-        let n = data.len();
-        let m = self.m;
-        if scratch.len() != m {
-            scratch.clear();
-            scratch.resize(m, Complex64::ZERO);
-        }
-        // a_j = x_j · c_j, zero padded to m (only the tail needs clearing —
-        // the head is overwritten).
-        for ((s, &x), &c) in scratch.iter_mut().zip(data.iter()).zip(&self.chirp) {
-            *s = x * c;
-        }
-        scratch[n..m].fill(Complex64::ZERO);
-        self.inner.forward(scratch);
-        // Pointwise multiply with the chirp spectrum (the circular
-        // convolution theorem), then the unnormalized inner inverse.
-        for (s, &h) in scratch.iter_mut().zip(&self.chirp_spectrum) {
-            *s *= h;
-        }
-        self.inner.backward_noscale(scratch);
-        // X_k = c_k/m · conv_k.
-        for ((x, &s), &c) in data.iter_mut().zip(scratch.iter()).zip(&self.post_chirp) {
-            *x = s * c;
-        }
-    }
-
-    /// Lane-packed mirror of [`BluesteinPlan::forward`]; `scratch` must
-    /// hold at least `m·2L` f64s.
+    /// Chirp-z transform over packed lanes; `scratch` must hold at least
+    /// `m·2L` f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn forward_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
         let stride = 2 * V::LANES;
         let n = data.len() / stride;
         let m = self.m;
         let buf = &mut scratch[..m * stride];
+        // a_j = x_j · c_j, zero padded to m.
         {
             let dp = data.as_ptr();
             let bp = buf.as_mut_ptr();
@@ -1155,6 +937,9 @@ impl BluesteinPlan {
             }
         }
         buf[n * stride..].fill(0.0);
+        // Pointwise multiply with the chirp spectrum (the circular
+        // convolution theorem) between the forward and the unnormalized
+        // inner inverse, then X_k = c_k/m · conv_k.
         self.inner.butterflies_v::<V, false>(buf);
         mul_coeffs_packed::<V>(buf, &self.chirp_spectrum, false);
         self.inner.butterflies_v::<V, true>(buf);
@@ -1254,10 +1039,10 @@ impl RaderPlan {
             .iter()
             .map(|&e| Complex64::cis(-2.0 * PI * e as f64 / p as f64) * inv_q)
             .collect();
-        let mut scratch = vec![Complex64::ZERO; q];
+        let spec = interleaved_mut(&mut b);
         match &inner {
-            RaderInner::Radix2(plan) => plan.forward(&mut b),
-            RaderInner::Mixed(plan) => plan.forward_slice(&mut b, &mut scratch),
+            RaderInner::Radix2(plan) => plan.butterflies_v::<F64x1, false>(spec),
+            RaderInner::Mixed(plan) => plan.forward_slice_v::<F64x1>(spec, &mut vec![0.0; 2 * q]),
         }
         Some(RaderPlan {
             p,
@@ -1268,57 +1053,8 @@ impl RaderPlan {
         })
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        let q = self.p - 1;
-        let need = match self.inner {
-            RaderInner::Radix2(_) => q,
-            RaderInner::Mixed(_) => 2 * q,
-        };
-        if scratch.len() < need {
-            scratch.resize(need, Complex64::ZERO);
-        }
-        let (a, rest) = scratch.split_at_mut(q);
-        let x0 = data[0];
-        let mut x0_sum = x0;
-        for (am, &idx) in a.iter_mut().zip(&self.perm_in) {
-            let v = data[idx as usize];
-            *am = v;
-            x0_sum += v;
-        }
-        match &self.inner {
-            RaderInner::Radix2(plan) => {
-                plan.forward(a);
-                for (z, &h) in a.iter_mut().zip(&self.b_spec) {
-                    *z *= h;
-                }
-                plan.backward_noscale(a);
-            }
-            RaderInner::Mixed(plan) => {
-                let rest = &mut rest[..q];
-                plan.forward_slice(a, rest);
-                for (z, &h) in a.iter_mut().zip(&self.b_spec) {
-                    *z *= h;
-                }
-                // Unnormalized inverse via the conj sandwich (the 1/q is
-                // folded into b_spec).
-                for z in a.iter_mut() {
-                    *z = z.conj();
-                }
-                plan.forward_slice(a, rest);
-                for z in a.iter_mut() {
-                    *z = z.conj();
-                }
-            }
-        }
-        // X[0] = Σ x; X[g^{−t}] = x₀ + conv[t].
-        data[0] = x0_sum;
-        for (cv, &idx) in a.iter().zip(&self.perm_out) {
-            data[idx as usize] = x0 + *cv;
-        }
-    }
-
-    /// Lane-packed mirror of [`RaderPlan::forward`]; `scratch` must hold
-    /// at least `2q·2L` f64s.
+    /// Rader's transform over packed lanes; `scratch` must hold at least
+    /// `2q·2L` f64s.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn forward_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
         let stride = 2 * V::LANES;
@@ -1352,11 +1088,14 @@ impl RaderPlan {
                 let rest = &mut rest[..q * stride];
                 plan.forward_slice_v::<V>(a, rest);
                 mul_coeffs_packed::<V>(a, &self.b_spec, false);
+                // Unnormalized inverse via the conj sandwich (the 1/q is
+                // folded into b_spec).
                 conj_packed::<V>(a);
                 plan.forward_slice_v::<V>(a, rest);
                 conj_packed::<V>(a);
             }
         }
+        // X[0] = Σ x; X[g^{−t}] = x₀ + conv[t].
         {
             let ap = a.as_ptr();
             let dp = data.as_mut_ptr();
@@ -1515,35 +1254,9 @@ impl MixedRadixPlan {
         MixedRadixPlan { n, stages }
     }
 
-    fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        let n = self.n;
-        if scratch.len() < n {
-            scratch.resize(n, Complex64::ZERO);
-        }
-        self.forward_slice(data, &mut scratch[..n]);
-    }
-
-    /// [`MixedRadixPlan::forward`] over a caller-sliced ping-pong buffer of
-    /// exactly `n` elements (lets Rader's plan carve its scratch out of one
-    /// shared allocation).
-    fn forward_slice(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
-        debug_assert_eq!(scratch.len(), self.n);
-        let mut in_data = true;
-        for stage in &self.stages {
-            if in_data {
-                Self::step(stage, data, scratch);
-            } else {
-                Self::step(stage, scratch, data);
-            }
-            in_data = !in_data;
-        }
-        if !in_data {
-            data.copy_from_slice(scratch);
-        }
-    }
-
-    /// Lane-packed mirror of [`MixedRadixPlan::forward_slice`]; `scratch`
-    /// must hold at least `n·2L` f64s.
+    /// Stockham pipeline over packed lanes, ping-ponging between `data` and
+    /// `scratch`, which must hold at least `n·2L` f64s (Rader's plan carves
+    /// it out of one shared allocation).
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn forward_slice_v<V: SimdF64>(&self, data: &mut [f64], scratch: &mut [f64]) {
         let stride = 2 * V::LANES;
@@ -1562,85 +1275,30 @@ impl MixedRadixPlan {
         }
     }
 
-    /// One Stockham DIF pass: gather `r` points strided `s·m` apart, apply
-    /// the r-point DFT, twiddle by `w^{p·u}`, scatter with stride `s`.
-    /// All indices stay below `n' · s = n` by the stage invariants.
-    fn step(stage: &MixedStage, src: &[Complex64], dst: &mut [Complex64]) {
-        let (r, m, s) = (stage.radix, stage.m, stage.s);
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        match r {
-            2 => {
-                for p in 0..m {
-                    // u = 0 twiddle is 1; only the u = 1 lane twiddles.
-                    let w = stage.tw[p * 2 + 1];
-                    for q in 0..s {
-                        // SAFETY: q + s·(p + m·t) < s·m·r = n and
-                        // q + s·(r·p + u) < n (see method docs).
-                        unsafe {
-                            let a = *sp.add(q + s * p);
-                            let b = *sp.add(q + s * (p + m));
-                            *dp.add(q + s * (2 * p)) = a + b;
-                            *dp.add(q + s * (2 * p + 1)) = (a - b) * w;
-                        }
-                    }
-                }
-            }
-            4 => {
-                for p in 0..m {
-                    let w1 = stage.tw[p * 4 + 1];
-                    let w2 = stage.tw[p * 4 + 2];
-                    let w3 = stage.tw[p * 4 + 3];
-                    for q in 0..s {
-                        // SAFETY: as above; all indices < n.
-                        unsafe {
-                            let a0 = *sp.add(q + s * p);
-                            let a1 = *sp.add(q + s * (p + m));
-                            let a2 = *sp.add(q + s * (p + 2 * m));
-                            let a3 = *sp.add(q + s * (p + 3 * m));
-                            let t0 = a0 + a2;
-                            let t1 = a1 + a3;
-                            let t2 = a0 - a2;
-                            let t3 = a1 - a3;
-                            // -j·t3 and +j·t3
-                            let jt3 = Complex64::new(t3.im, -t3.re);
-                            *dp.add(q + s * (4 * p)) = t0 + t1;
-                            *dp.add(q + s * (4 * p + 1)) = (t2 + jt3) * w1;
-                            *dp.add(q + s * (4 * p + 2)) = (t0 - t1) * w2;
-                            *dp.add(q + s * (4 * p + 3)) = (t2 - jt3) * w3;
-                        }
-                    }
-                }
-            }
-            _ => {
-                let mut at = [Complex64::ZERO; 8];
-                for p in 0..m {
-                    let wrow = &stage.tw[p * r..(p + 1) * r];
-                    for q in 0..s {
-                        // SAFETY: as above; all indices < n, r ≤ 7 < at.len().
-                        unsafe {
-                            for (t, a) in at[..r].iter_mut().enumerate() {
-                                *a = *sp.add(q + s * (p + m * t));
-                            }
-                            for (u, &w) in wrow.iter().enumerate() {
-                                let row = &stage.roots[u * r..u * r + r];
-                                let mut acc = at[0];
-                                for t in 1..r {
-                                    acc += at[t] * row[t];
-                                }
-                                *dp.add(q + s * (r * p + u)) = acc * w;
-                            }
-                        }
-                    }
-                }
-            }
+    /// One Stockham pass at `V::LANES` lanes (see [`MixedRadixPlan::pass_v`]).
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn step_v<V: SimdF64>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
+        if V::LANES == 1 {
+            Self::step_one_lane(stage, src, dst);
+        } else {
+            Self::pass_v::<V>(stage, src, dst);
         }
     }
 
-    /// Lane-packed mirror of [`MixedRadixPlan::step`]: the same index
-    /// invariants, every element offset scaled by the packed stride `2L`.
+    /// The one-lane pass, kept out of line. One lane has no target feature
+    /// to carry into the pass, and flattening every pass into the whole
+    /// 2-D pipeline measured 5–25% slower at one lane (100², 197², 200²).
+    #[inline(never)]
+    fn step_one_lane(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
+        Self::pass_v::<F64x1>(stage, src, dst);
+    }
+
+    /// One Stockham DIF pass: gather `r` points strided `s·m` apart, apply
+    /// the r-point DFT, twiddle by `w^{p·u}`, scatter with stride `s`.
+    /// All element indices stay below `n' · s = n` by the stage invariants;
+    /// packed offsets scale them by `2L`.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn step_v<V: SimdF64>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
+    fn pass_v<V: SimdF64>(stage: &MixedStage, src: &[f64], dst: &mut [f64]) {
         let stride = 2 * V::LANES;
         let (r, m, s) = (stage.radix, stage.m, stage.s);
         let sp = src.as_ptr();
@@ -1648,10 +1306,11 @@ impl MixedRadixPlan {
         match r {
             2 => {
                 for p in 0..m {
+                    // u = 0 twiddle is 1; only the u = 1 lane twiddles.
                     let w = VComplex::<V>::splat(stage.tw[p * 2 + 1]);
                     for q in 0..s {
-                        // SAFETY: same index invariants as the scalar step;
-                        // packed offsets scale element indices by 2L.
+                        // SAFETY: q + s·(p + m·t) < s·m·r = n and
+                        // q + s·(r·p + u) < n (see method docs).
                         unsafe {
                             let a = VComplex::<V>::load(sp.add((q + s * p) * stride));
                             let b = VComplex::<V>::load(sp.add((q + s * (p + m)) * stride));
@@ -1679,6 +1338,7 @@ impl MixedRadixPlan {
                             let t1 = a1.add(a3);
                             let t2 = a0.sub(a2);
                             let t3 = a1.sub(a3);
+                            // -j·t3 and +j·t3
                             let jt3 = t3.rot::<false>();
                             t0.add(t1).store(dp.add((q + s * (4 * p)) * stride));
                             t2.add(jt3)
@@ -1695,12 +1355,12 @@ impl MixedRadixPlan {
                 }
             }
             _ => {
+                let mut at = [VComplex::<V>::splat(Complex64::ZERO); 8];
                 for p in 0..m {
                     let wrow = &stage.tw[p * r..(p + 1) * r];
                     for q in 0..s {
-                        // SAFETY: as in the scalar generic arm; r ≤ 7.
+                        // SAFETY: as above; all indices < n, r ≤ 7 < at.len().
                         unsafe {
-                            let mut at = [VComplex::<V>::splat(Complex64::ZERO); 8];
                             for (t, a) in at[..r].iter_mut().enumerate() {
                                 *a = VComplex::load(sp.add((q + s * (p + m * t)) * stride));
                             }
@@ -1777,36 +1437,38 @@ pub fn plan_cache_len() -> usize {
     PLAN_CACHE.lock().as_ref().map_or(0, PinnedCache::len)
 }
 
-/// Number of columns staged together by the strided column kernel. 32
-/// columns of `f64` complex samples are 512 bytes per row — a handful of
-/// cache lines — so the gather/scatter runs at near-streaming bandwidth.
-const COL_BLOCK: usize = 32;
-
 /// Fields with at least this many samples split their row/column FFT loops
 /// across the persistent worker pool (200² and larger at the paper's
 /// resolutions).
 const PAR_MIN_LEN: usize = 32_768;
 
-/// Column-block width of the lane-packed column pass. Narrower than the
-/// scalar [`COL_BLOCK`]: each staged column already carries `2L` f64s per
-/// element, so 8 columns at 4 lanes fill the same cache footprint as 32
-/// scalar columns.
-const SIMD_COL_BLOCK: usize = 8;
+/// Columns the column pass stages together at `lanes` lanes. One-lane
+/// columns go 32 at a time (512 bytes per row — a handful of cache lines —
+/// so the gather/scatter runs at near-streaming bandwidth); packed columns
+/// already carry `2L` f64s per element, so 8 at `L ≥ 2` keep about the
+/// same footprint.
+const fn col_block_width(lanes: usize) -> usize {
+    if lanes == 1 {
+        32
+    } else {
+        8
+    }
+}
 
-/// Lane-packed scratch for the batched cross-plane kernels.
+/// Lane buffers of an [`Fft2Workspace`], shared by every lane width.
 ///
-/// Empty until a batched entry point actually takes the SIMD path
-/// (`Default`), so per-sample workspaces — and the serve runtime's
-/// resident-memory accounting for them — are unchanged. Sized once for the
-/// widest requested lane count and reused for every narrower group.
+/// Sized once for the widest requested lane count and reused for every
+/// narrower group. One-lane work needs only `scratch` and `col_block`
+/// ([`Fft2::make_workspace`] sizes those); `packed` stays empty until a
+/// batched entry point takes the `L ≥ 2` path.
 #[derive(Debug, Clone, Default)]
 struct SimdScratch {
-    /// One group of `L` planes in split re/im lane-major packed form
+    /// One group of `L ≥ 2` planes in split re/im lane-major packed form
     /// (`rows·cols` elements × `2L` f64s).
     packed: Vec<f64>,
     /// Lane-packed per-plan scratch (`max(plan scratch) × 2L` f64s).
     scratch: Vec<f64>,
-    /// Lane-packed column staging (up to [`SIMD_COL_BLOCK`] columns).
+    /// Lane-packed column staging (`col_block_width(L)` columns).
     col_block: Vec<f64>,
 }
 
@@ -1816,7 +1478,8 @@ impl SimdScratch {
     /// once sized (steady-state zero allocation).
     fn ensure(&mut self, rows: usize, cols: usize, plan_scratch: usize, lanes: usize) {
         let stride = 2 * lanes;
-        let packed = rows * cols * stride;
+        // One lane runs in place on the plane: nothing to pack.
+        let packed = if lanes > 1 { rows * cols * stride } else { 0 };
         if self.packed.len() < packed {
             self.packed.resize(packed, 0.0);
         }
@@ -1824,7 +1487,7 @@ impl SimdScratch {
         if self.scratch.len() < scratch {
             self.scratch.resize(scratch, 0.0);
         }
-        let col_block = rows * SIMD_COL_BLOCK.min(cols) * stride;
+        let col_block = rows * col_block_width(lanes).min(cols) * stride;
         if self.col_block.len() < col_block {
             self.col_block.resize(col_block, 0.0);
         }
@@ -1839,22 +1502,15 @@ impl SimdScratch {
 
 /// Owned scratch for one [`Fft2`] shape.
 ///
-/// Holds the Bluestein convolution buffers for both axes plus the staging
-/// buffer of the cache-blocked column kernel. Allocated once per shape
+/// Holds the plan scratch (the Bluestein/Rader/Stockham convolution
+/// buffers of both axes) and the column staging of the cache-blocked
+/// column kernel, in the lane layout. Allocated once per shape
 /// (`Fft2::make_workspace`) and reused for every subsequent transform; see
 /// the module docs for the full workspace-reuse contract.
 #[derive(Debug, Clone)]
 pub struct Fft2Workspace {
     rows: usize,
     cols: usize,
-    /// Bluestein scratch for the row (length-`cols`) plan.
-    row_scratch: Vec<Complex64>,
-    /// Bluestein scratch for the column (length-`rows`) plan.
-    col_scratch: Vec<Complex64>,
-    /// Column staging: up to [`COL_BLOCK`] columns stored contiguously.
-    col_block: Vec<Complex64>,
-    /// Lane-packed buffers for the batched cross-plane kernels; empty until
-    /// a batched entry point runs with SIMD dispatch enabled.
     simd: SimdScratch,
 }
 
@@ -1867,9 +1523,7 @@ impl Fft2Workspace {
     /// Heap bytes held by this workspace's scratch buffers (capacity, not
     /// length). Feeds the serving runtime's resident-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        (self.row_scratch.capacity() + self.col_scratch.capacity() + self.col_block.capacity())
-            * std::mem::size_of::<Complex64>()
-            + self.simd.resident_bytes()
+        self.simd.resident_bytes()
     }
 }
 
@@ -1984,15 +1638,14 @@ impl Fft2 {
         (self.rows, self.cols)
     }
 
-    /// Allocates a workspace sized for this engine's shape.
+    /// Allocates a workspace sized for this engine's shape at one lane.
     pub fn make_workspace(&self) -> Fft2Workspace {
+        let mut simd = SimdScratch::default();
+        simd.ensure(self.rows, self.cols, self.max_plan_scratch(), 1);
         Fft2Workspace {
             rows: self.rows,
             cols: self.cols,
-            row_scratch: self.row_plan.make_scratch(),
-            col_scratch: self.col_plan.make_scratch(),
-            col_block: vec![Complex64::ZERO; self.rows * COL_BLOCK.min(self.cols)],
-            simd: SimdScratch::default(),
+            simd,
         }
     }
 
@@ -2012,17 +1665,16 @@ impl Fft2 {
         self.row_plan.scratch_len().max(self.col_plan.scratch_len())
     }
 
-    /// Pre-sizes `workspace`'s lane-packed SIMD buffers for this shape at
-    /// the current runtime dispatch width, so a later batched call does not
-    /// allocate. A no-op when dispatch is scalar (the buffers stay empty)
-    /// or when already sized.
+    /// Pre-sizes `workspace`'s lane buffers for this shape at the current
+    /// runtime dispatch width, so a later batched call does not allocate.
+    /// A no-op when dispatch is one lane or when already sized.
     pub fn prepare_batch_workspace(&self, workspace: &mut Fft2Workspace) {
-        let lanes = simd::dispatch().lanes();
-        if lanes > 1 {
-            workspace
-                .simd
-                .ensure(self.rows, self.cols, self.max_plan_scratch(), lanes);
-        }
+        workspace.simd.ensure(
+            self.rows,
+            self.cols,
+            self.max_plan_scratch(),
+            simd::dispatch().lanes(),
+        );
     }
 
     /// In-place forward 2-D FFT.
@@ -2062,10 +1714,9 @@ impl Fft2 {
     }
 
     /// In-place 2-D transform of one row-major `rows × cols` plane given as
-    /// a raw sample slice — the single shared kernel behind both the
-    /// per-sample ([`Fft2::process_with`]) and batched
-    /// ([`Fft2::process_batch_with`]) entry points, which is what makes
-    /// them bit-identical. Zero heap allocation (sequential mode).
+    /// a raw sample slice: the one-lane instance of the 2-D pipeline, run
+    /// in place (or split across the pool for large fields). Zero heap
+    /// allocation (sequential mode).
     ///
     /// # Panics
     ///
@@ -2087,31 +1738,22 @@ impl Fft2 {
             (self.rows, self.cols),
             "Fft2 workspace shape mismatch"
         );
-        let parallel_ok = self.rows * self.cols >= PAR_MIN_LEN
-            && parallel::threads() > 1
-            && !parallel::in_parallel_region();
-        {
-            let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-            if parallel_ok {
+        if self.pooled() {
+            {
+                let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
                 self.rows_pass_parallel(data, dir);
-            } else {
-                self.rows_pass(data, dir, &mut workspace.row_scratch);
             }
-        }
-        {
             let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            if parallel_ok {
-                self.cols_pass_parallel(data, dir);
-            } else {
-                self.cols_pass(data, dir, workspace);
-            }
+            self.cols_pass_parallel(data, dir);
+        } else {
+            self.process_group_v::<F64x1>(data, dir, workspace);
         }
     }
 
     /// Transforms every active plane of `batch` in place: one shared
     /// workspace, one set of plans, the twiddle/chirp tables streamed over
     /// all `B` planes. Bit-identical to `B` separate
-    /// [`Fft2::process_with`] calls (see [`Fft2::process_slice_with`]).
+    /// [`Fft2::process_with`] calls (see the module docs).
     ///
     /// # Panics
     ///
@@ -2131,16 +1773,21 @@ impl Fft2 {
         self.process_planes(batch.as_mut_slice(), dir, &mut workspace.fft);
     }
 
+    /// True when one plane's row/column passes split across the worker
+    /// pool: large fields, more than one thread, not already pooled.
+    fn pooled(&self) -> bool {
+        self.rows * self.cols >= PAR_MIN_LEN
+            && parallel::threads() > 1
+            && !parallel::in_parallel_region()
+    }
+
     /// Picks how many planes to co-process per vector op for this batch:
     /// the runtime [`simd::dispatch`] level, except when the per-plane
     /// kernels would split across the worker pool — pooled row/column
-    /// passes already saturate the core budget, so batched work keeps the
-    /// scalar per-plane kernels there (see the module docs).
+    /// passes already saturate the core budget, so batched work keeps one
+    /// lane per plane there (see the module docs).
     fn batch_level(&self) -> SimdLevel {
-        let parallel_ok = self.rows * self.cols >= PAR_MIN_LEN
-            && parallel::threads() > 1
-            && !parallel::in_parallel_region();
-        if parallel_ok {
+        if self.pooled() {
             SimdLevel::Scalar
         } else {
             simd::dispatch()
@@ -2149,10 +1796,10 @@ impl Fft2 {
 
     /// Transforms a contiguous run of row-major planes, co-processing
     /// groups of 4 then 2 planes per vector op at the dispatched level and
-    /// finishing remainder planes with the scalar per-plane kernel. Every
-    /// lane executes the scalar operation sequence, so results are bitwise
-    /// identical to per-plane [`Fft2::process_slice_with`] calls at every
-    /// dispatch level.
+    /// finishing remainder planes one lane at a time. Every lane executes
+    /// the one-lane operation sequence, so results are bitwise identical
+    /// to per-plane [`Fft2::process_slice_with`] calls at every dispatch
+    /// level.
     fn process_planes(&self, planes: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
         let plane_len = self.rows * self.cols;
         debug_assert_eq!(planes.len() % plane_len, 0);
@@ -2200,8 +1847,9 @@ impl Fft2 {
         self.process_group_v::<simd::F64x4>(group, dir, ws)
     }
 
-    /// Packs `V::LANES` planes into the split re/im lane-major layout, runs
-    /// the 2-D pipeline on the packed buffer, and unpacks.
+    /// Runs the 2-D pipeline over a group of `V::LANES` planes: packed into
+    /// the split re/im lane-major layout and back at `L ≥ 2`, in place at
+    /// one lane (where the packed layout is the plane itself).
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn process_group_v<V: SimdF64>(
         &self,
@@ -2209,10 +1857,9 @@ impl Fft2 {
         dir: Direction,
         ws: &mut Fft2Workspace,
     ) {
-        let stride = 2 * V::LANES;
-        let n = self.rows * self.cols;
-        // Steady-state no-op: `make_batch_workspace` pre-sizes for the
-        // dispatch width; this covers caller-assembled workspaces.
+        // Steady-state no-op: `make_workspace` sizes one lane and
+        // `make_batch_workspace` the dispatch width; this covers
+        // caller-assembled workspaces.
         ws.simd
             .ensure(self.rows, self.cols, self.max_plan_scratch(), V::LANES);
         let SimdScratch {
@@ -2220,15 +1867,21 @@ impl Fft2 {
             scratch,
             col_block,
         } = &mut ws.simd;
-        let packed = &mut packed[..n * stride];
+        if V::LANES == 1 {
+            self.fft2_packed_v::<V>(dir, interleaved_mut(group), scratch, col_block);
+            return;
+        }
+        let packed = &mut packed[..self.rows * self.cols * 2 * V::LANES];
         pack_group::<V>(group, packed);
         self.fft2_packed_v::<V>(dir, packed, scratch, col_block);
         unpack_group::<V>(packed, group);
     }
 
-    /// The 2-D row/column pipeline over one lane-packed group, mirroring
-    /// [`Fft2::process_slice_with`] pass-for-pass (same pass order, same
-    /// cache-blocked column staging, same per-pass kernel attribution).
+    /// The 2-D row/column pipeline over one lane-packed group: rows in
+    /// place, then columns through the cache-blocked strided kernel —
+    /// gather up to `col_block_width(L)` columns into contiguous staging,
+    /// transform each, and scatter back. No full-field transpose is ever
+    /// materialized.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn fft2_packed_v<V: SimdF64>(
         &self,
@@ -2245,35 +1898,25 @@ impl Fft2 {
                 self.row_plan.process_v::<V>(row, dir, scratch);
             }
         }
-        {
-            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            let bw_max = SIMD_COL_BLOCK.min(cols);
-            let mut c0 = 0;
-            while c0 < cols {
-                let bw = bw_max.min(cols - c0);
-                for r in 0..rows {
-                    let src = (r * cols + c0) * stride;
-                    for k in 0..bw {
-                        col_block[(k * rows + r) * stride..][..stride]
-                            .copy_from_slice(&packed[src + k * stride..][..stride]);
-                    }
-                }
-                for k in 0..bw {
-                    self.col_plan.process_v::<V>(
-                        &mut col_block[k * rows * stride..(k + 1) * rows * stride],
-                        dir,
-                        scratch,
-                    );
-                }
-                for r in 0..rows {
-                    let dst = (r * cols + c0) * stride;
-                    for k in 0..bw {
-                        packed[dst + k * stride..][..stride]
-                            .copy_from_slice(&col_block[(k * rows + r) * stride..][..stride]);
-                    }
-                }
-                c0 += bw;
+        let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
+        let mut c0 = 0;
+        while c0 < cols {
+            let bw = col_block_width(V::LANES).min(cols - c0);
+            // SAFETY: `packed` is exclusively borrowed and holds rows·cols
+            // packed elements; c0 + bw ≤ cols, and `ensure` sized
+            // `col_block` for rows·bw elements.
+            unsafe { gather_columns::<V>(packed.as_ptr(), rows, cols, c0, bw, col_block) };
+            for k in 0..bw {
+                self.col_plan.process_v::<V>(
+                    &mut col_block[k * rows * stride..(k + 1) * rows * stride],
+                    dir,
+                    scratch,
+                );
             }
+            // SAFETY: same exclusive borrow and bounds as the gather; the
+            // write-back targets the same columns.
+            unsafe { scatter_columns::<V>(col_block, rows, cols, c0, bw, packed.as_mut_ptr()) };
+            c0 += bw;
         }
     }
 
@@ -2289,60 +1932,25 @@ impl Fft2 {
         self.process_batch_with(batch, Direction::Inverse, workspace);
     }
 
-    /// Row transforms, sequential, in place.
-    fn rows_pass(&self, data: &mut [Complex64], dir: Direction, scratch: &mut Vec<Complex64>) {
-        for r in 0..self.rows {
-            self.row_plan
-                .process(&mut data[r * self.cols..(r + 1) * self.cols], dir, scratch);
-        }
-    }
-
-    /// Column transforms through the cache-blocked strided kernel: gather up
-    /// to [`COL_BLOCK`] columns into contiguous staging, transform each, and
-    /// scatter back. No full-field transpose is ever materialized.
-    fn cols_pass(&self, data: &mut [Complex64], dir: Direction, workspace: &mut Fft2Workspace) {
-        let (rows, cols) = (self.rows, self.cols);
-        let block = &mut workspace.col_block;
-        let scratch = &mut workspace.col_scratch;
-        let mut c0 = 0;
-        while c0 < cols {
-            let bw = COL_BLOCK.min(cols - c0);
-            // SAFETY: `data` is exclusively borrowed and all column indices
-            // are in bounds; see gather/scatter docs.
-            unsafe {
-                gather_columns(data.as_ptr(), rows, cols, c0, bw, block);
-            }
-            for k in 0..bw {
-                self.col_plan
-                    .process(&mut block[k * rows..(k + 1) * rows], dir, scratch);
-            }
-            // SAFETY: same exclusive borrow and in-bounds argument as the
-            // gather above; the write-back targets the same columns.
-            unsafe {
-                scatter_columns(block, rows, cols, c0, bw, data.as_mut_ptr());
-            }
-            c0 += bw;
-        }
-    }
-
     /// Row transforms split across the worker pool; per-thread scratch.
     fn rows_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
         let (rows, cols) = (self.rows, self.cols);
         let tasks = parallel::threads().min(rows).max(1) * 4;
         let chunk = rows.div_ceil(tasks);
         let tasks = rows.div_ceil(chunk);
-        let base = RowsPtr(data.as_mut_ptr());
+        let base = RowsPtr(interleaved_mut(data).as_mut_ptr());
         let plan = &self.row_plan;
         parallel::par_for(tasks, |t| {
             let base = &base; // capture the Sync wrapper, not the raw field
             let lo = t * chunk;
             let hi = ((t + 1) * chunk).min(rows);
-            with_thread_scratch(plan.scratch_len(), |scratch| {
+            let len = 2 * cols; // f64s per row
+            with_thread_scratch(2 * plan.scratch_len(), |scratch| {
                 for r in lo..hi {
                     // SAFETY: tasks own disjoint row ranges of the buffer,
                     // which outlives par_for's completion barrier.
-                    let row = unsafe { std::slice::from_raw_parts_mut(base.0.add(r * cols), cols) };
-                    plan.process(row, dir, scratch);
+                    let row = unsafe { std::slice::from_raw_parts_mut(base.0.add(r * len), len) };
+                    plan.process_v::<F64x1>(row, dir, scratch);
                 }
             });
         });
@@ -2351,29 +1959,34 @@ impl Fft2 {
     /// Column blocks split across the worker pool; per-thread staging.
     fn cols_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
         let (rows, cols) = (self.rows, self.cols);
-        let blocks = cols.div_ceil(COL_BLOCK);
-        let base = RowsPtr(data.as_mut_ptr());
+        let width = col_block_width(1);
+        let blocks = cols.div_ceil(width);
+        let base = RowsPtr(interleaved_mut(data).as_mut_ptr());
         let plan = &self.col_plan;
         parallel::par_for(blocks, |b| {
             let base = &base; // capture the Sync wrapper, not the raw field
-            let c0 = b * COL_BLOCK;
-            let bw = COL_BLOCK.min(cols - c0);
-            with_thread_scratch(rows * bw, |block| {
-                with_thread_scratch(plan.scratch_len(), |scratch| {
+            let c0 = b * width;
+            let bw = width.min(cols - c0);
+            with_thread_scratch(2 * rows * bw, |block| {
+                with_thread_scratch(2 * plan.scratch_len(), |scratch| {
                     // SAFETY: tasks touch disjoint column ranges [c0, c0+bw)
                     // through raw pointer arithmetic only — no task ever
                     // forms a reference spanning another task's columns —
                     // and the buffer outlives par_for's completion barrier.
                     unsafe {
-                        gather_columns(base.0, rows, cols, c0, bw, block);
+                        gather_columns::<F64x1>(base.0, rows, cols, c0, bw, block);
                     }
                     for k in 0..bw {
-                        plan.process(&mut block[k * rows..(k + 1) * rows], dir, scratch);
+                        plan.process_v::<F64x1>(
+                            &mut block[2 * k * rows..2 * (k + 1) * rows],
+                            dir,
+                            scratch,
+                        );
                     }
                     // SAFETY: write-back to this task's own disjoint
                     // columns — the same argument as the gather above.
                     unsafe {
-                        scatter_columns(block, rows, cols, c0, bw, base.0);
+                        scatter_columns::<F64x1>(block, rows, cols, c0, bw, base.0);
                     }
                 });
             });
@@ -2421,26 +2034,6 @@ impl Fft2 {
         self.inverse(field);
     }
 
-    /// [`Fft2::convolve_spectrum`] with caller-owned scratch (zero
-    /// allocation in sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match.
-    pub fn convolve_spectrum_with(
-        &self,
-        field: &mut Field,
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        self.process_with(field, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            field.hadamard_assign(transfer);
-        }
-        self.process_with(field, Direction::Inverse, workspace);
-    }
-
     /// Adjoint of [`Fft2::convolve_spectrum`]: propagates a gradient with the
     /// conjugated transfer function. Under the `(1, 1/N)` normalization the
     /// adjoint of `F⁻¹ diag(H) F` is exactly `F⁻¹ diag(H̄) F`.
@@ -2453,86 +2046,14 @@ impl Fft2 {
         self.inverse(grad);
     }
 
-    /// [`Fft2::convolve_spectrum_adjoint`] with caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes do not match.
-    pub fn convolve_spectrum_adjoint_with(
-        &self,
-        grad: &mut Field,
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        self.process_with(grad, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            grad.hadamard_conj_assign(transfer);
-        }
-        self.process_with(grad, Direction::Inverse, workspace);
-    }
-
-    /// [`Fft2::convolve_spectrum_with`] on one raw row-major plane — the
-    /// shared kernel behind both the per-sample and batched spectral
-    /// propagation paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or `workspace` do not match the planned shape.
-    pub fn convolve_spectrum_slice_with(
-        &self,
-        data: &mut [Complex64],
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        assert_eq!(
-            transfer.shape(),
-            (self.rows, self.cols),
-            "transfer shape mismatch"
-        );
-        self.process_slice_with(data, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            for (a, &h) in data.iter_mut().zip(transfer.as_slice()) {
-                *a *= h;
-            }
-        }
-        self.process_slice_with(data, Direction::Inverse, workspace);
-    }
-
-    /// [`Fft2::convolve_spectrum_adjoint_with`] on one raw row-major plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or `workspace` do not match the planned shape.
-    pub fn convolve_spectrum_adjoint_slice_with(
-        &self,
-        data: &mut [Complex64],
-        transfer: &Field,
-        workspace: &mut Fft2Workspace,
-    ) {
-        assert_eq!(
-            transfer.shape(),
-            (self.rows, self.cols),
-            "transfer shape mismatch"
-        );
-        self.process_slice_with(data, Direction::Forward, workspace);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            for (a, &h) in data.iter_mut().zip(transfer.as_slice()) {
-                *a *= h.conj();
-            }
-        }
-        self.process_slice_with(data, Direction::Inverse, workspace);
-    }
-
-    /// Batched [`Fft2::convolve_spectrum_slice_with`]: the fused
-    /// `IFFT2( FFT2(plane) ⊙ transfer )` propagation step over a contiguous
-    /// run of row-major planes, with the cached transfer kernel broadcast
-    /// across batch lanes. Bitwise identical per plane to the per-sample
-    /// path at every dispatch level (each lane runs the scalar operation
-    /// sequence; the transfer multiply uses the scalar `Complex64` product
-    /// formula lanewise).
+    /// [`Fft2::convolve_spectrum`] with caller-owned scratch over a
+    /// contiguous run of row-major planes (one plane is a batch of one):
+    /// the fused `IFFT2( FFT2(plane) ⊙ transfer )` propagation step, with
+    /// the cached transfer kernel broadcast across batch lanes. Bitwise
+    /// identical per plane at every batch size and dispatch level (each
+    /// lane runs the one-lane operation sequence; the transfer multiply
+    /// uses the `Complex64` product formula lanewise). Zero heap
+    /// allocation in steady state.
     ///
     /// # Panics
     ///
@@ -2546,9 +2067,10 @@ impl Fft2 {
         self.convolve_planes(planes, transfer, false, workspace);
     }
 
-    /// Batched [`Fft2::convolve_spectrum_adjoint_slice_with`]: gradient
-    /// propagation with the conjugated transfer function across batch
-    /// lanes (see [`Fft2::convolve_spectrum_batch_with`]).
+    /// [`Fft2::convolve_spectrum_adjoint`] with caller-owned scratch over a
+    /// run of planes: gradient propagation with the conjugated transfer
+    /// function across batch lanes (see
+    /// [`Fft2::convolve_spectrum_batch_with`]).
     ///
     /// # Panics
     ///
@@ -2598,11 +2120,12 @@ impl Fft2 {
         }
         for plane in rest.chunks_exact_mut(plane_len) {
             let _t = KernelTimer::start(KernelKind::SimdScalar);
-            if adj {
-                self.convolve_spectrum_adjoint_slice_with(plane, transfer, ws);
-            } else {
-                self.convolve_spectrum_slice_with(plane, transfer, ws);
+            self.process_slice_with(plane, Direction::Forward, ws);
+            {
+                let _t = KernelTimer::start(KernelKind::Transfer);
+                mul_coeffs_packed::<F64x1>(interleaved_mut(plane), transfer.as_slice(), adj);
             }
+            self.process_slice_with(plane, Direction::Inverse, ws);
         }
     }
 
@@ -2670,8 +2193,9 @@ impl Fft2 {
     }
 }
 
-/// Copies columns `[c0, c0+bw)` of a row-major `rows × cols` buffer into
-/// column-major staging (`block[k·rows + r] = data[r·cols + c0 + k]`).
+/// Copies columns `[c0, c0+bw)` of a row-major `rows × cols` packed buffer
+/// into column-major staging (`block` element `k·rows + r` = `data`
+/// element `r·cols + c0 + k`, each element `2·V::LANES` f64s).
 ///
 /// Takes a raw base pointer so concurrent tasks working on *disjoint*
 /// column ranges of one buffer never materialize overlapping `&`/`&mut`
@@ -2679,23 +2203,29 @@ impl Fft2 {
 ///
 /// # Safety
 ///
-/// `data` must point to at least `rows·cols` readable elements that no
-/// other thread writes in the accessed columns during the call, and
+/// `data` must point to at least `rows·cols` readable packed elements that
+/// no other thread writes in the accessed columns during the call, and
 /// `c0 + bw ≤ cols` must hold.
-#[inline]
-unsafe fn gather_columns(
-    data: *const Complex64,
+#[cfg_attr(not(debug_assertions), inline(always))]
+unsafe fn gather_columns<V: SimdF64>(
+    data: *const f64,
     rows: usize,
     cols: usize,
     c0: usize,
     bw: usize,
-    block: &mut [Complex64],
+    block: &mut [f64],
 ) {
-    debug_assert!(c0 + bw <= cols && block.len() >= rows * bw);
+    let stride = 2 * V::LANES;
+    assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
+    let bp = block.as_mut_ptr();
     for r in 0..rows {
         for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract.
-            block[k * rows + r] = unsafe { *data.add(r * cols + c0 + k) };
+            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract,
+            // and k·rows + r < rows·bw elements of `block` (checked above).
+            unsafe {
+                VComplex::<V>::load(data.add((r * cols + c0 + k) * stride))
+                    .store(bp.add((k * rows + r) * stride));
+            }
         }
     }
 }
@@ -2704,24 +2234,28 @@ unsafe fn gather_columns(
 ///
 /// # Safety
 ///
-/// `data` must point to at least `rows·cols` writable elements whose
-/// columns `[c0, c0+bw)` no other thread accesses during the call, and
-/// `c0 + bw ≤ cols` must hold.
-#[inline]
-unsafe fn scatter_columns(
-    block: &[Complex64],
+/// `data` must point to at least `rows·cols` writable packed elements
+/// whose columns `[c0, c0+bw)` no other thread accesses during the call,
+/// and `c0 + bw ≤ cols` must hold.
+#[cfg_attr(not(debug_assertions), inline(always))]
+unsafe fn scatter_columns<V: SimdF64>(
+    block: &[f64],
     rows: usize,
     cols: usize,
     c0: usize,
     bw: usize,
-    data: *mut Complex64,
+    data: *mut f64,
 ) {
-    debug_assert!(c0 + bw <= cols && block.len() >= rows * bw);
+    let stride = 2 * V::LANES;
+    assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
+    let bp = block.as_ptr();
     for r in 0..rows {
         for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract.
+            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract,
+            // and k·rows + r < rows·bw elements of `block` (checked above).
             unsafe {
-                *data.add(r * cols + c0 + k) = block[k * rows + r];
+                VComplex::<V>::load(bp.add((k * rows + r) * stride))
+                    .store(data.add((r * cols + c0 + k) * stride));
             }
         }
     }
@@ -2729,7 +2263,7 @@ unsafe fn scatter_columns(
 
 /// Shared-buffer pointer handed to disjoint parallel tasks.
 #[derive(Clone, Copy)]
-struct RowsPtr(*mut Complex64);
+struct RowsPtr(*mut f64);
 // SAFETY: tasks dereference disjoint index ranges only (see call sites).
 unsafe impl Send for RowsPtr {}
 // SAFETY: same disjointness argument as `Send` above — shared references
@@ -2738,7 +2272,7 @@ unsafe impl Sync for RowsPtr {}
 
 thread_local! {
     /// Per-thread pool of scratch buffers for the parallel FFT loops.
-    static THREAD_SCRATCH: RefCell<Vec<Vec<Complex64>>> = const { RefCell::new(Vec::new()) };
+    static THREAD_SCRATCH: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
     /// Per-thread [`Fft2Workspace`] cache backing the implicit entry points.
     static TLS_WORKSPACES: RefCell<Vec<Fft2Workspace>> = const { RefCell::new(Vec::new()) };
 }
@@ -2747,7 +2281,7 @@ thread_local! {
 /// Buffers are recycled, so steady-state use allocates nothing. Contents
 /// are **unspecified** (only growth is zeroed — no full re-zeroing pass);
 /// every consumer fully overwrites what it reads.
-fn with_thread_scratch<R>(min_len: usize, f: impl FnOnce(&mut Vec<Complex64>) -> R) -> R {
+fn with_thread_scratch<R>(min_len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     let mut buf = THREAD_SCRATCH.with(|pool| {
         let mut pool = pool.borrow_mut();
         let found = pool.iter().position(|b| b.capacity() >= min_len);
@@ -2756,7 +2290,7 @@ fn with_thread_scratch<R>(min_len: usize, f: impl FnOnce(&mut Vec<Complex64>) ->
             None => Vec::with_capacity(min_len),
         }
     });
-    buf.resize(min_len, Complex64::ZERO);
+    buf.resize(min_len, 0.0);
     let out = f(&mut buf);
     THREAD_SCRATCH.with(|pool| {
         let mut pool = pool.borrow_mut();
@@ -3067,7 +2601,7 @@ mod tests {
         assert!(f.distance(&g) < 1e-9);
         let mut ws = fft.make_workspace();
         let mut g2 = f.clone();
-        fft.convolve_spectrum_with(&mut g2, &h, &mut ws);
+        fft.convolve_spectrum_batch_with(g2.as_mut_slice(), &h, &mut ws);
         assert!(f.distance(&g2) < 1e-9);
     }
 
@@ -3225,6 +2759,9 @@ mod tests {
             });
             batch.copy_plane_from(b, &f);
         }
+        // Hold the dispatch lock at the auto-detected level so no other
+        // test can move the tier between the transform and the assertion.
+        let _dispatch = simd::force(None);
         let mut ws = fft.make_batch_workspace();
         set_kernel_profiling(true);
         reset_kernel_profile();

@@ -2,11 +2,13 @@
 //! (`fft2_batch_with`/`ifft2_batch_with`) must be **bit-identical** to
 //! per-plane `process_with` for every plane, across batch sizes, shapes
 //! (square and non-square), and FFT code paths (radix-2, mixed-radix
-//! Stockham, Rader, and Bluestein) — and every forced SIMD dispatch level
-//! must be bitwise identical to the forced-scalar oracle. This is the
-//! invariant the whole batched propagation stack inherits.
+//! Stockham, Rader, and Bluestein) — and every SIMD dispatch level must be
+//! bitwise identical to the one-lane instance, for every transform length
+//! up to 512. This is the invariant the whole batched propagation stack
+//! inherits.
 
-use lr_tensor::{Complex64, Direction, Fft2, Field, FieldBatch};
+use lr_tensor::simd::{self, SimdLevel};
+use lr_tensor::{dft_naive, Complex64, Direction, Fft2, FftPlan, Field, FieldBatch};
 use proptest::prelude::*;
 
 fn plane_value(b: usize, r: usize, c: usize, seed: u64) -> Complex64 {
@@ -114,77 +116,130 @@ fn one_workspace_serves_shrinking_and_growing_batches() {
     }
 }
 
+/// Every dispatch level the CPU executes, widest last.
+fn executable_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::X2, SimdLevel::X4]
+        .into_iter()
+        .filter(|&level| {
+            let _g = simd::force(Some(level));
+            simd::dispatch() == level
+        })
+        .collect()
+}
+
 /// The cross-plane SIMD contract: every forced dispatch level the CPU can
 /// execute produces **bitwise identical** batched FFT and spectrum-
-/// convolution results to the forced-scalar oracle — each vector lane
-/// performs the exact scalar operation sequence, so there is no tolerance
-/// to negotiate on these paths. Covers batch sizes {1, 3, 32} (remainder
-/// lanes at both x2 and x4 grouping), non-square grids, and every plan
-/// kind: radix-2 (16), mixed-radix Stockham (20, 24), Rader primes
-/// (31: 30 = 2·3·5), and Bluestein (23: 22 has the factor 11).
-///
-/// `simd::force` is process-global; a level flip mid-run cannot break the
-/// other tests here (batched == per-plane holds bitwise at every level),
-/// and auto-detection is restored before returning.
+/// convolution results to the one-lane instance — each vector lane
+/// performs the exact one-lane operation sequence, so there is no
+/// tolerance to negotiate on these paths. Covers batch sizes {1, 3, 32}
+/// (remainder lanes at both x2 and x4 grouping), non-square grids, and
+/// every plan kind: radix-2 (16), mixed-radix Stockham (20, 24), Rader
+/// primes (31: 30 = 2·3·5), and Bluestein (23: 22 has the factor 11).
 #[test]
-fn forced_simd_levels_bitwise_match_scalar_oracle() {
-    use lr_tensor::simd::{self, SimdLevel};
-
+fn forced_simd_levels_bitwise_match_one_lane() {
     for &(rows, cols) in &[(16, 16), (20, 24), (31, 31), (23, 23), (31, 24), (16, 23)] {
         let fft = Fft2::new(rows, cols);
         let transfer = Field::from_fn(rows, cols, |r, c| plane_value(9, r, c, 5));
         for &batch_size in &[1usize, 3, 32] {
-            let fill = |batch: &mut FieldBatch| {
+            // One forward transform and one spectrum convolve per level.
+            let run = |level: SimdLevel| {
+                let _g = simd::force(Some(level));
+                let mut transformed = FieldBatch::zeros(batch_size, rows, cols);
+                let mut convolved = FieldBatch::zeros(batch_size, rows, cols);
                 for b in 0..batch_size {
                     let f = Field::from_fn(rows, cols, |r, c| plane_value(b, r, c, 3));
-                    batch.copy_plane_from(b, &f);
+                    transformed.copy_plane_from(b, &f);
+                    convolved.copy_plane_from(b, &f);
                 }
+                let mut ws = fft.make_batch_workspace();
+                fft.fft2_batch_with(&mut transformed, &mut ws);
+                let mut plane_ws = fft.make_workspace();
+                fft.convolve_spectrum_batch_with(
+                    convolved.as_mut_slice(),
+                    &transfer,
+                    &mut plane_ws,
+                );
+                (transformed, convolved)
             };
-
-            // Scalar oracle: one forward transform, one spectrum convolve.
-            simd::force(Some(SimdLevel::Scalar));
-            let mut oracle_fft = FieldBatch::zeros(batch_size, rows, cols);
-            fill(&mut oracle_fft);
-            let mut ws = fft.make_batch_workspace();
-            fft.fft2_batch_with(&mut oracle_fft, &mut ws);
-            let mut oracle_conv = FieldBatch::zeros(batch_size, rows, cols);
-            fill(&mut oracle_conv);
-            let mut plane_ws = fft.make_workspace();
-            fft.prepare_batch_workspace(&mut plane_ws);
-            fft.convolve_spectrum_batch_with(oracle_conv.as_mut_slice(), &transfer, &mut plane_ws);
-
-            for level in [SimdLevel::X2, SimdLevel::X4] {
-                simd::force(Some(level));
-                if simd::dispatch() != level {
-                    // Clamped: this CPU cannot execute the requested width.
-                    continue;
-                }
-                let mut got = FieldBatch::zeros(batch_size, rows, cols);
-                fill(&mut got);
-                fft.fft2_batch_with(&mut got, &mut ws);
+            let (one_fft, one_conv) = run(SimdLevel::Scalar);
+            for level in executable_levels() {
+                let (got_fft, got_conv) = run(level);
                 for b in 0..batch_size {
                     assert_eq!(
-                        got.plane(b),
-                        oracle_fft.plane(b),
-                        "fft2 {level:?} vs scalar divergence at plane {b}/{batch_size} \
+                        got_fft.plane(b),
+                        one_fft.plane(b),
+                        "fft2 {level:?} vs one-lane divergence at plane {b}/{batch_size} \
                          ({rows}x{cols})"
                     );
-                }
-                let mut got = FieldBatch::zeros(batch_size, rows, cols);
-                fill(&mut got);
-                fft.convolve_spectrum_batch_with(got.as_mut_slice(), &transfer, &mut plane_ws);
-                for b in 0..batch_size {
                     assert_eq!(
-                        got.plane(b),
-                        oracle_conv.plane(b),
-                        "convolve {level:?} vs scalar divergence at plane {b}/{batch_size} \
+                        got_conv.plane(b),
+                        one_conv.plane(b),
+                        "convolve {level:?} vs one-lane divergence at plane {b}/{batch_size} \
                          ({rows}x{cols})"
                     );
                 }
             }
         }
     }
-    simd::force(None);
+}
+
+/// Every transform length 1..=512 in both directions, so radix-2,
+/// Stockham, Rader and Bluestein plan selection is covered exhaustively
+/// rather than by sample: the one-lane instance (`FftPlan::process`)
+/// matches `dft_naive`, and batched transforms at every executable level
+/// — a batch of 7 takes x4, x2 and one-lane groups — are bitwise identical
+/// to it, along both the row pass (`1 × n`) and the column pass (`n × 1`).
+#[test]
+fn every_fft_size_matches_naive_dft_and_lanes_match_bitwise() {
+    const B: usize = 7;
+    let levels = executable_levels();
+    for n in 1..=512usize {
+        let plan = FftPlan::new(n);
+        let mut scratch = plan.make_scratch();
+        let signals: Vec<Vec<Complex64>> = (0..B)
+            .map(|b| (0..n).map(|c| plane_value(b, 0, c, n as u64)).collect())
+            .collect();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let one_lane: Vec<Vec<Complex64>> = signals
+                .iter()
+                .map(|x| {
+                    let mut y = x.clone();
+                    plan.process(&mut y, dir, &mut scratch);
+                    y
+                })
+                .collect();
+
+            let expect = dft_naive(&signals[0], dir);
+            let scale = expect.iter().fold(1.0f64, |m, z| m.max(z.norm()));
+            for (k, (got, want)) in one_lane[0].iter().zip(&expect).enumerate() {
+                assert!(
+                    (*got - *want).norm() <= 1e-12 * n as f64 * scale,
+                    "n={n} {dir:?}: bin {k} is {got:?}, naive DFT {want:?}"
+                );
+            }
+
+            for &(rows, cols) in &[(1, n), (n, 1)] {
+                let fft = Fft2::new(rows, cols);
+                for &level in &levels {
+                    let _g = simd::force(Some(level));
+                    let mut batch = FieldBatch::zeros(B, rows, cols);
+                    for (b, x) in signals.iter().enumerate() {
+                        batch.plane_mut(b).copy_from_slice(x);
+                    }
+                    let mut ws = fft.make_batch_workspace();
+                    fft.process_batch_with(&mut batch, dir, &mut ws);
+                    for (b, y) in one_lane.iter().enumerate() {
+                        assert_eq!(
+                            batch.plane(b),
+                            &y[..],
+                            "n={n} {dir:?} {rows}x{cols} {level:?}: plane {b} differs \
+                             from the one-lane instance"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
