@@ -6,11 +6,11 @@
 //! measured for both the current zero-copy pipeline and the
 //! pre-optimization reference (transpose-based FFT2, plain radix-2
 //! butterflies, clone-per-layer forward, thread-spawn-per-batch
-//! parallelism). It also sweeps the cross-plane SIMD kernels at forced
-//! lane widths (`simd_lanes/*`, see [`simd_lanes_entries`]) and gates the
-//! fused batched forward pass at both a pow2-friendly (200) and a prime
-//! Rader-path (197) grid. Future PRs diff this file to keep a perf
-//! trajectory.
+//! parallelism). It also sweeps the SIMD lane kernels at forced lane
+//! widths (`simd_lanes/*`, see [`simd_lanes_entries`]) and gates the
+//! per-sample forward pass against its one-lane instance at both a
+//! pow2-friendly (200) and a prime Rader-path (197) grid. Future PRs diff
+//! this file to keep a perf trajectory.
 //!
 //! `lr-bench serve` runs the deterministic synthetic load generator
 //! against the sharded `lr-serve` runtime — both in-process and through
@@ -126,12 +126,13 @@ fn pooled_batched_forward(model: &DonnModel, batch: &[Field]) -> usize {
     .sum()
 }
 
-/// Measures the fused batched forward pass (`infer_batch_into`) against a
-/// per-sample `infer_into` loop over the same inputs and emits
-/// `forward_batch/{lightridge,per_sample,speedup}/<tag>`. The two paths
-/// run the same per-plane operation sequence by construction — the delta
-/// is cross-plane SIMD, dispatch, plan-lookup, and transfer-broadcast
-/// amortization across the batch.
+/// Measures the fused batched forward pass (`infer_batch_into`), a
+/// per-sample `infer_into` loop over the same inputs, and the same loop
+/// under forced one-lane dispatch, emitting
+/// `forward_batch/{lightridge,per_sample,per_sample_one_lane}/<tag>` and the
+/// gated `forward_batch/per_sample_speedup_vs_one_lane/<tag>`. Batched and
+/// per-sample execution run one plane pipeline, so their ratio is about 1 by
+/// design; the gated ratio is what SIMD lanes buy a per-sample forward.
 fn forward_batch_entries(
     entries: &mut Vec<(String, f64)>,
     model: &DonnModel,
@@ -150,26 +151,37 @@ fn forward_batch_entries(
     });
     entries.push((format!("forward_batch/lightridge/{tag}"), batched_ns));
     let mut sample_ws = model.make_workspace();
-    let per_sample_ns = median_ns(samples, || {
-        for (input, out) in batch.iter().zip(outputs.iter_mut()) {
-            model.infer_into(input, &mut sample_ws, out);
-        }
-        std::hint::black_box(&outputs);
-    });
-    entries.push((format!("forward_batch/per_sample/{tag}"), per_sample_ns));
+    let mut per_sample = || {
+        median_ns(samples, || {
+            for (input, out) in batch.iter().zip(outputs.iter_mut()) {
+                model.infer_into(input, &mut sample_ws, out);
+            }
+            std::hint::black_box(&outputs);
+        })
+    };
+    let dispatched_ns = per_sample();
+    let one_lane_ns = {
+        let _one_lane = simd::force(Some(SimdLevel::Scalar));
+        per_sample()
+    };
+    entries.push((format!("forward_batch/per_sample/{tag}"), dispatched_ns));
     entries.push((
-        format!("forward_batch/speedup/{tag}"),
-        per_sample_ns / batched_ns,
+        format!("forward_batch/per_sample_one_lane/{tag}"),
+        one_lane_ns,
+    ));
+    entries.push((
+        format!("forward_batch/per_sample_speedup_vs_one_lane/{tag}"),
+        one_lane_ns / dispatched_ns,
     ));
 }
 
-/// Sweeps the cross-plane kernels at forced SIMD lane widths and emits
+/// Sweeps the lane kernels at forced SIMD lane widths and emits
 /// `simd_lanes/<kernel>/scalar` raw medians, scalar-relative
 /// `{x2,x4}_speedup` ratios, and `simd_lanes/dispatch_width` (the lane
 /// count the runtime detector picks on this machine).
 ///
 /// 128×128 planes stay under the pooled-parallel threshold
-/// (`PAR_MIN_LEN`), so the lane-packed path engages at every width on any
+/// (`PAR_MIN_LEN`), so every width runs one plane on one thread on any
 /// machine. Widths the CPU cannot execute (`force` clamps them) are
 /// skipped — the committed baselines assume an AVX2-capable x86-64 host,
 /// which every hosted CI runner provides. Each width runs under its own
@@ -212,7 +224,6 @@ fn simd_lanes_entries(entries: &mut Vec<(String, f64)>, samples: usize) {
             std::hint::black_box(&batch);
         });
         let mut ws = fft.make_workspace();
-        fft.prepare_batch_workspace(&mut ws);
         medians[1][w] = median_ns(samples, || {
             fft.convolve_spectrum_batch_with(&mut planes, &transfer, &mut ws);
             std::hint::black_box(&planes);
@@ -321,15 +332,14 @@ fn main() {
         ref_ns / new_ns,
     ));
 
-    // --- Fused batched forward: one infer_batch_into vs a per-sample loop
-    // (same kernels by construction — the delta is cross-plane SIMD,
-    // dispatch, plan-lookup, and transfer-broadcast amortization).
+    // --- Fused batched forward, per-sample forward, and per-sample forward
+    // at one lane (the gated SIMD speedup).
     forward_batch_entries(&mut entries, &model, &batch, "200x3x16", fwd_samples);
 
     // --- Prime-grid honesty check: 197 is prime, so every per-plane FFT
     // takes the Rader path (196 = 2²·7² is smooth) where it used to fall
-    // back to Bluestein. Gating batched speedup at this size keeps the
-    // Bluestein→Rader retirement honest, not just the pow2 fast path.
+    // back to Bluestein. Gating the lane speedup at this size keeps the
+    // Rader path vectorized, not just the pow2-friendly one.
     let model_prime = donn_200(197, 3);
     let batch_prime: Vec<Field> = (0..16)
         .map(|i| {
@@ -346,7 +356,7 @@ fn main() {
         fwd_samples,
     );
 
-    // --- Cross-plane SIMD lane sweep ------------------------------------
+    // --- SIMD lane sweep -------------------------------------------------
     simd_lanes_entries(&mut entries, fft_samples);
 
     // --- Emit ------------------------------------------------------------

@@ -493,16 +493,16 @@ pub enum KernelKind {
     Detector = 5,
     /// Attribution: the pass ran Rader's prime-length plan.
     Rader = 6,
-    /// Batched work that fell back to the per-plane scalar kernels
-    /// (remainder planes, forced-scalar dispatch, or the pooled path).
+    /// Per-plane FFT work at one lane (forced-scalar dispatch, or a CPU
+    /// without vector lanes).
     SimdScalar = 7,
-    /// Batched cross-plane work executed at 2 lanes over SSE2.
+    /// Per-plane FFT work at 2 lanes over SSE2.
     SimdSse2 = 8,
-    /// Batched cross-plane work executed at 4 lanes over AVX2.
+    /// Per-plane FFT work at 4 lanes over AVX2.
     SimdAvx2 = 9,
-    /// Batched cross-plane work executed over NEON lanes.
+    /// Per-plane FFT work over NEON lanes.
     SimdNeon = 10,
-    /// Batched cross-plane work executed by the portable array backend.
+    /// Per-plane FFT work on the portable array backend.
     SimdPortable = 11,
 }
 

@@ -344,19 +344,12 @@ impl PropagationScratch {
         }
     }
 
-    /// Builds scratch for a `rows × cols` plane with the lane-packed
-    /// buffers of the batched entry points pre-sized for the runtime SIMD
-    /// dispatch level ([`Fft2::prepare_batch_workspace`]), so batched
-    /// propagation through this scratch is allocation-free from the first
-    /// call.
+    /// Same as [`PropagationScratch::new`]: the FFT workspace is sized for
+    /// the runtime SIMD dispatch width either way, so batched propagation
+    /// through either is allocation-free from the first call. Kept for
+    /// callers that still spell out the batched intent.
     pub fn new_batched(rows: usize, cols: usize) -> Self {
-        let fft2 = Fft2::new(rows, cols);
-        let mut fft = fft2.make_workspace();
-        fft2.prepare_batch_workspace(&mut fft);
-        PropagationScratch {
-            fft,
-            shift: Field::zeros(rows, cols),
-        }
+        Self::new(rows, cols)
     }
 
     /// Plane shape this scratch serves.
@@ -565,14 +558,13 @@ impl FreeSpace {
     }
 
     /// Propagates **every active plane** of a [`FieldBatch`] in place — the
-    /// batched free-space hop. The spectral path runs the fused batched
-    /// convolve ([`Fft2::convolve_spectrum_batch_with`]), which co-processes
-    /// groups of planes per vector op at the runtime SIMD dispatch level and
-    /// broadcasts the cached transfer kernel across batch lanes; the lane
-    /// kernels mirror the scalar operation sequence, so the call stays
-    /// **bit-identical** to `B` separate [`FreeSpace::propagate_with`]
-    /// calls at every dispatch level, and performs **zero heap allocations**
-    /// in steady state.
+    /// batched free-space hop. The spectral path runs the fused convolve
+    /// ([`Fft2::convolve_spectrum_batch_with`]) over the whole batch — the
+    /// same per-plane pipeline a single [`FreeSpace::propagate_with`] call
+    /// runs, `L` rows or columns per vector op at the runtime SIMD dispatch
+    /// level — so the call stays **bit-identical** to `B` separate
+    /// per-sample calls at every dispatch level, and performs **zero heap
+    /// allocations** in steady state.
     ///
     /// # Panics
     ///

@@ -21,18 +21,18 @@
 //!   same resolution reuse twiddle tables and chirp spectra. Plan reuse is
 //!   one of the runtime optimizations that separates LightRidge from the
 //!   LightPipes baseline (paper Table 1, Fig. 8).
-//! * A **zero-allocation 2-D pipeline**: [`Fft2`] transforms rows in place
-//!   and columns through a cache-blocked strided kernel that stages a few
-//!   columns at a time in a reusable buffer — no transpose fields are ever
-//!   materialized (earlier revisions allocated two full fields per 2-D
-//!   transform). Large fields additionally split their row/column loops
-//!   across the persistent worker pool (`crate::parallel`).
+//! * A **zero-allocation 2-D pipeline**: [`Fft2`] stages a group of rows,
+//!   then a cache-blocked group of columns, at a time in a reusable buffer
+//!   — no transpose fields are ever materialized (earlier revisions
+//!   allocated two full fields per 2-D transform). Large fields
+//!   additionally split their row/column passes across the persistent
+//!   worker pool (`crate::parallel`).
 //! * **One kernel per plan kind**, generic over the lane type
-//!   `V: SimdF64` ([`crate::simd`]). Per-sample execution is the one-lane
-//!   instance ([`simd::F64x1`]) run in place on the `Complex64` plane — at
-//!   one lane the packed split re/im layout *is* the `#[repr(C)]` sample
-//!   layout — and batched execution runs the same kernels two or four
-//!   planes at a time.
+//!   `V: SimdF64` ([`crate::simd`]), and **one 2-D pipeline** that runs it
+//!   `L` rows or `L` columns of one plane at a time. The one-lane instance
+//!   ([`simd::F64x1`]) runs rows in place on the `Complex64` plane — at one
+//!   lane the packed split re/im layout *is* the `#[repr(C)]` sample
+//!   layout.
 //! * **Batched entry points**: [`Fft2::fft2_batch_with`] /
 //!   [`Fft2::ifft2_batch_with`] (and the direction-generic
 //!   [`Fft2::process_batch_with`]) transform every plane of a
@@ -62,9 +62,11 @@
 //!   own (the thread-local pool guarantees this for implicit calls).
 //! * **Parallel mode** — when a field is large (≥ `PAR_MIN_LEN` samples),
 //!   the current thread is not already inside a parallel region, and more
-//!   than one worker is configured, row/column loops run on the persistent
-//!   pool and each worker thread draws scratch from its own thread-local
-//!   pool (the caller's workspace is not shared across threads).
+//!   than one worker is configured, each row/column pass runs on the
+//!   persistent pool: tasks take whole lane groups of rows or blocks of
+//!   columns at the dispatched width, and each worker thread draws lane
+//!   staging from its own thread-local pool (the caller's workspace is not
+//!   shared across threads).
 //!
 //! Normalization convention: forward transforms are unnormalized, inverse
 //! transforms carry the `1/N` factor. For the 2-D transforms the inverse
@@ -85,41 +87,47 @@
 //!
 //! # Lane kernels and the equivalence contract
 //!
-//! The batched entry points ([`Fft2::process_batch_with`],
-//! [`Fft2::convolve_spectrum_batch_with`], …) vectorize **across batch
-//! lanes**: groups of `L ∈ {2, 4}` co-resident planes are packed into a
-//! split re/im, lane-major layout (element `i` holds
-//! `[re₀‥re_{L−1}, im₀‥im_{L−1}]`), so one twiddle load drives `L` planes
-//! through the identical butterfly and every complex multiply is plain
-//! lanewise arithmetic — no shuffles. Remainder planes, per-sample calls
-//! and forced-scalar dispatch run the one-lane instance in place. The lane
+//! Every entry point — per-sample ([`Fft2::process_with`]), batched
+//! ([`Fft2::process_batch_with`]), and the fused convolve
+//! ([`Fft2::convolve_spectrum_batch_with`], …) — runs one pipeline that
+//! vectorizes **within a plane**: the row pass gathers groups of `L`
+//! rows into a split re/im, lane-major layout (element `i` holds
+//! `[re₀‥re_{L−1}, im₀‥im_{L−1}]`, lane `l` carrying row `l` of the
+//! group), runs the 1-D plan once for all `L`, and scatters them back; the
+//! column pass does the same with groups of `L` columns of a staged
+//! column block. One twiddle load drives `L` lines through the identical
+//! butterfly and every complex multiply is plain lanewise arithmetic — no
+//! shuffles. The leftover `rows mod L` rows and `cols mod L` columns run
+//! the one-lane instance. A batch is a loop over its planes, so a
+//! per-sample call, a batch of one and a batch of many run the same code
+//! at the same width. The fused convolve multiplies each column group by
+//! the transfer while the forward column pass still holds it. The lane
 //! width comes from [`crate::simd::dispatch`] (SSE2 baseline / AVX2 by
 //! runtime detection on x86-64, NEON on aarch64, one lane elsewhere;
-//! `LR_SIMD=scalar|x2|x4` overrides), and the kernel profile attributes
-//! batched FFT time to `simd_scalar` / `simd_sse2` / `simd_avx2` /
-//! `simd_neon` cells.
+//! `LR_SIMD=scalar|x2|x4` overrides), and the kernel profile charges each
+//! plane to the `simd_scalar` / `simd_sse2` / `simd_avx2` / `simd_neon`
+//! cell of the level that ran it.
 //!
 //! **Equivalence contract** (one tier): every lane of every width executes
-//! the exact operation sequence of the one-lane instance, so results are
-//! **bitwise identical** at every dispatch level, and batched results are
-//! bitwise identical to per-sample ones. The detector readout
-//! ([`crate::simd::sum_norm_sqr`]) meets the same contract through its
-//! fixed reduction tree. No tolerance is negotiated on any of these paths.
+//! the exact operation sequence of the one-lane instance on its own row or
+//! column, so results are **bitwise identical** at every dispatch level,
+//! batch size and thread count, and batched results are bitwise identical
+//! to per-sample ones. The detector readout ([`crate::simd::sum_norm_sqr`])
+//! meets the same contract through its fixed reduction tree. No tolerance
+//! is negotiated on any of these paths.
 //!
-//! The one-lane buffers (plan scratch and column staging) are sized by
-//! [`Fft2::make_workspace`]. The packed group buffer for `L ≥ 2` stays
-//! **empty until a batched entry point is used** (or
-//! [`Fft2::prepare_batch_workspace`] sizes it eagerly), so per-sample
-//! workspaces pay nothing for it. Pooled multi-thread execution
-//! (`PAR_MIN_LEN`) splits one-lane row and column passes across the pool;
-//! lane packing engages on the sequential path only.
+//! [`Fft2::make_workspace`] sizes the lane staging (one group of rows or
+//! one column block) and the plan scratch for the dispatch width, so
+//! every entry point is allocation-free from its first call. Pooled
+//! passes (`PAR_MIN_LEN`) run the same lane groups from per-thread
+//! staging.
 
 use crate::batch::FieldBatch;
 use crate::complex::Complex64;
 use crate::field::Field;
 use crate::parallel;
 use crate::pinned_cache::PinnedCache;
-use crate::simd::{self, F64x1, SimdF64, SimdLevel};
+use crate::simd::{self, F64x1, LaneJob, SimdF64, SimdLevel};
 use lr_obs::{KernelKind, KernelTimer};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -558,16 +566,14 @@ fn conj_scale_packed<V: SimdF64>(data: &mut [f64], s: f64) {
     }
 }
 
-/// Lanewise `*z *= h[i]` (or `h[i].conj()`) over a packed buffer, one
-/// broadcast complex coefficient per element — the transfer-function and
-/// Rader/Bluestein spectrum multiplies.
+/// Lanewise `*z *= h[i]` over a packed buffer, one broadcast complex
+/// coefficient per element — the Rader/Bluestein spectrum multiplies.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn mul_coeffs_packed<V: SimdF64>(data: &mut [f64], coeffs: &[Complex64], conj: bool) {
+fn mul_coeffs_packed<V: SimdF64>(data: &mut [f64], coeffs: &[Complex64]) {
     let stride = 2 * V::LANES;
     debug_assert!(data.len() >= coeffs.len() * stride);
     let ptr = data.as_mut_ptr();
     for (i, &h) in coeffs.iter().enumerate() {
-        let h = if conj { h.conj() } else { h };
         let hv = VComplex::<V>::splat(h);
         // SAFETY: i < coeffs.len() ≤ data.len()/2L packed elements.
         unsafe {
@@ -577,44 +583,39 @@ fn mul_coeffs_packed<V: SimdF64>(data: &mut [f64], coeffs: &[Complex64], conj: b
     }
 }
 
-/// Packs `LANES` contiguous row-major planes into the split re/im
-/// lane-major layout: packed element `i` is `[re₀‥re_{L−1}, im₀‥im_{L−1}]`
-/// at offset `i·2L`, lane `l` carrying plane `l` of the group.
+/// Lanewise `*z *= h` over one staged column group, lane `l` of element
+/// `r` taking `h[r·cols + l]` (conjugated for the adjoint) — the transfer
+/// multiply of the fused convolve, applied while the forward column pass
+/// still holds the group. The product is [`Complex64`]'s formula, the same
+/// per-sample multiply a separate transfer pass would run, so the bits do
+/// not change.
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn pack_group<V: SimdF64>(group: &[Complex64], packed: &mut [f64]) {
+fn mul_transfer_lanes<V: SimdF64>(group: &mut [f64], h: &[Complex64], cols: usize, adj: bool) {
     let lanes = V::LANES;
-    let n = group.len() / lanes;
-    debug_assert_eq!(packed.len(), n * 2 * lanes);
-    // Complex64 is repr(C) { re, im }: a plane is interleaved re/im pairs.
-    let src = group.as_ptr() as *const f64;
-    let dst = packed.as_mut_ptr();
-    for l in 0..lanes {
-        for i in 0..n {
-            // SAFETY: (l·n + i) < lanes·n samples of `group` (2 f64s each);
-            // the packed offsets are < n·2·lanes.
-            unsafe {
-                *dst.add(i * 2 * lanes + l) = *src.add((l * n + i) * 2);
-                *dst.add(i * 2 * lanes + lanes + l) = *src.add((l * n + i) * 2 + 1);
-            }
+    let n = group.len() / (2 * lanes);
+    assert!(lanes <= 4 && (n == 0 || h.len() >= (n - 1) * cols + lanes));
+    let hp = h.as_ptr() as *const f64;
+    let gp = group.as_mut_ptr();
+    // Split re/im coefficients of one element: L re values, then L im.
+    let mut w = [0.0f64; 8];
+    for r in 0..n {
+        for l in 0..lanes {
+            // SAFETY: r·cols + l < h.len() (asserted above); Complex64 is
+            // repr(C) { re, im }.
+            let (re, im) = unsafe {
+                let s = hp.add(2 * (r * cols + l));
+                (*s, *s.add(1))
+            };
+            w[l] = re;
+            w[lanes + l] = if adj { -im } else { im };
         }
-    }
-}
-
-/// Inverse of [`pack_group`].
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn unpack_group<V: SimdF64>(packed: &[f64], group: &mut [Complex64]) {
-    let lanes = V::LANES;
-    let n = group.len() / lanes;
-    debug_assert_eq!(packed.len(), n * 2 * lanes);
-    let src = packed.as_ptr();
-    let dst = group.as_mut_ptr() as *mut f64;
-    for l in 0..lanes {
-        for i in 0..n {
-            // SAFETY: same bounds as `pack_group`, directions swapped.
-            unsafe {
-                *dst.add((l * n + i) * 2) = *src.add(i * 2 * lanes + l);
-                *dst.add((l * n + i) * 2 + 1) = *src.add(i * 2 * lanes + lanes + l);
-            }
+        // SAFETY: element r spans [r·2L, (r+1)·2L) ≤ group.len(); `w`
+        // holds 2L ≤ 8 f64s.
+        unsafe {
+            let p = gp.add(r * 2 * lanes);
+            VComplex::<V>::load(p)
+                .mul(VComplex::<V>::load(w.as_ptr()))
+                .store(p);
         }
     }
 }
@@ -941,7 +942,7 @@ impl BluesteinPlan {
         // convolution theorem) between the forward and the unnormalized
         // inner inverse, then X_k = c_k/m · conv_k.
         self.inner.butterflies_v::<V, false>(buf);
-        mul_coeffs_packed::<V>(buf, &self.chirp_spectrum, false);
+        mul_coeffs_packed::<V>(buf, &self.chirp_spectrum);
         self.inner.butterflies_v::<V, true>(buf);
         {
             let bp = buf.as_ptr();
@@ -1081,13 +1082,13 @@ impl RaderPlan {
         match &self.inner {
             RaderInner::Radix2(plan) => {
                 plan.butterflies_v::<V, false>(a);
-                mul_coeffs_packed::<V>(a, &self.b_spec, false);
+                mul_coeffs_packed::<V>(a, &self.b_spec);
                 plan.butterflies_v::<V, true>(a);
             }
             RaderInner::Mixed(plan) => {
                 let rest = &mut rest[..q * stride];
                 plan.forward_slice_v::<V>(a, rest);
-                mul_coeffs_packed::<V>(a, &self.b_spec, false);
+                mul_coeffs_packed::<V>(a, &self.b_spec);
                 // Unnormalized inverse via the conj sandwich (the 1/q is
                 // folded into b_spec).
                 conj_packed::<V>(a);
@@ -1437,81 +1438,36 @@ pub fn plan_cache_len() -> usize {
     PLAN_CACHE.lock().as_ref().map_or(0, PinnedCache::len)
 }
 
-/// Fields with at least this many samples split their row/column FFT loops
+/// Fields with at least this many samples split their row/column passes
 /// across the persistent worker pool (200² and larger at the paper's
 /// resolutions).
 const PAR_MIN_LEN: usize = 32_768;
 
-/// Columns the column pass stages together at `lanes` lanes. One-lane
-/// columns go 32 at a time (512 bytes per row — a handful of cache lines —
-/// so the gather/scatter runs at near-streaming bandwidth); packed columns
-/// already carry `2L` f64s per element, so 8 at `L ≥ 2` keep about the
-/// same footprint.
-const fn col_block_width(lanes: usize) -> usize {
-    if lanes == 1 {
-        32
-    } else {
-        8
-    }
-}
+/// Columns the column pass stages per block: 32 samples (512 bytes) of
+/// each row, so the gather and scatter run at near-streaming bandwidth. A
+/// multiple of every lane count, so a block splits into whole lane groups.
+const COL_BLOCK: usize = 32;
 
-/// Lane buffers of an [`Fft2Workspace`], shared by every lane width.
-///
-/// Sized once for the widest requested lane count and reused for every
-/// narrower group. One-lane work needs only `scratch` and `col_block`
-/// ([`Fft2::make_workspace`] sizes those); `packed` stays empty until a
-/// batched entry point takes the `L ≥ 2` path.
-#[derive(Debug, Clone, Default)]
-struct SimdScratch {
-    /// One group of `L ≥ 2` planes in split re/im lane-major packed form
-    /// (`rows·cols` elements × `2L` f64s).
-    packed: Vec<f64>,
-    /// Lane-packed per-plan scratch (`max(plan scratch) × 2L` f64s).
-    scratch: Vec<f64>,
-    /// Lane-packed column staging (`col_block_width(L)` columns).
-    col_block: Vec<f64>,
-}
-
-impl SimdScratch {
-    /// Grows the buffers to serve `lanes`-wide groups of a `rows × cols`
-    /// plane whose axis plans need at most `plan_scratch` elements. A no-op
-    /// once sized (steady-state zero allocation).
-    fn ensure(&mut self, rows: usize, cols: usize, plan_scratch: usize, lanes: usize) {
-        let stride = 2 * lanes;
-        // One lane runs in place on the plane: nothing to pack.
-        let packed = if lanes > 1 { rows * cols * stride } else { 0 };
-        if self.packed.len() < packed {
-            self.packed.resize(packed, 0.0);
-        }
-        let scratch = plan_scratch * stride;
-        if self.scratch.len() < scratch {
-            self.scratch.resize(scratch, 0.0);
-        }
-        let col_block = rows * col_block_width(lanes).min(cols) * stride;
-        if self.col_block.len() < col_block {
-            self.col_block.resize(col_block, 0.0);
-        }
-    }
-
-    /// Heap bytes held (capacity), for resident-memory accounting.
-    fn resident_bytes(&self) -> usize {
-        (self.packed.capacity() + self.scratch.capacity() + self.col_block.capacity())
-            * std::mem::size_of::<f64>()
-    }
+/// f64s of lane staging a `rows × cols` plane needs at `lanes` lanes: one
+/// group of `lanes` rows, or one block of up to [`COL_BLOCK`] columns.
+fn stage_len(rows: usize, cols: usize, lanes: usize) -> usize {
+    (2 * lanes * cols).max(2 * rows * COL_BLOCK.min(cols))
 }
 
 /// Owned scratch for one [`Fft2`] shape.
 ///
-/// Holds the plan scratch (the Bluestein/Rader/Stockham convolution
-/// buffers of both axes) and the column staging of the cache-blocked
-/// column kernel, in the lane layout. Allocated once per shape
-/// (`Fft2::make_workspace`) and reused for every subsequent transform; see
-/// the module docs for the full workspace-reuse contract.
+/// Holds the lane staging of the 2-D pipeline (one group of `L` rows or one
+/// block of columns, in the split re/im lane-major layout) and the plan
+/// scratch of both axes (the Bluestein/Rader/Stockham convolution
+/// buffers) at `L` lanes. [`Fft2::make_workspace`] sizes both for the
+/// runtime dispatch width, once per shape; see the module docs for the
+/// full workspace-reuse contract.
 #[derive(Debug, Clone)]
 pub struct Fft2Workspace {
     rows: usize,
     cols: usize,
-    simd: SimdScratch,
+    stage: Vec<f64>,
+    scratch: Vec<f64>,
 }
 
 impl Fft2Workspace {
@@ -1523,7 +1479,21 @@ impl Fft2Workspace {
     /// Heap bytes held by this workspace's scratch buffers (capacity, not
     /// length). Feeds the serving runtime's resident-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        self.simd.resident_bytes()
+        (self.stage.capacity() + self.scratch.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// Grows the buffers to serve `lanes`-wide groups when the axis plans
+    /// need at most `plan_scratch` elements. A no-op once sized
+    /// (steady-state zero allocation).
+    fn ensure(&mut self, plan_scratch: usize, lanes: usize) {
+        let stage = stage_len(self.rows, self.cols, lanes);
+        if self.stage.len() < stage {
+            self.stage.resize(stage, 0.0);
+        }
+        let scratch = 2 * lanes * plan_scratch;
+        if self.scratch.len() < scratch {
+            self.scratch.resize(scratch, 0.0);
+        }
     }
 }
 
@@ -1607,9 +1577,9 @@ fn pass_timer(kind: KernelKind, plan: &FftPlan) -> KernelTimer {
     }
 }
 
-/// Profile cell attributing batched cross-plane work to the ISA that
-/// executed it (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
-/// `simd_scalar` covers remainder planes and forced-scalar dispatch).
+/// Profile cell charging a plane's work to the ISA of the level that ran
+/// it (`simd_sse2` / `simd_avx2` / `simd_neon` / `simd_portable`;
+/// `simd_scalar` for one-lane dispatch).
 #[inline]
 fn simd_cell(level: SimdLevel) -> KernelKind {
     match level.isa_name() {
@@ -1618,6 +1588,91 @@ fn simd_cell(level: SimdLevel) -> KernelKind {
         "neon" => KernelKind::SimdNeon,
         "portable" => KernelKind::SimdPortable,
         _ => KernelKind::SimdScalar,
+    }
+}
+
+/// What the 2-D pipeline does to each plane.
+#[derive(Clone, Copy)]
+enum PlaneOp<'a> {
+    /// A forward or inverse 2-D FFT.
+    Fft(Direction),
+    /// The fused `IFFT2( FFT2(plane) ⊙ H )` step; `adj` multiplies by `H̄`.
+    Convolve {
+        transfer: &'a [Complex64],
+        adj: bool,
+    },
+}
+
+impl<'a> PlaneOp<'a> {
+    /// The passes this op runs, in order: rows then columns per transform.
+    fn passes(self) -> impl Iterator<Item = Pass<'a>> {
+        let (dir, mul) = match self {
+            PlaneOp::Fft(dir) => (dir, None),
+            PlaneOp::Convolve { transfer, adj } => (Direction::Forward, Some((transfer, adj))),
+        };
+        let inverse = mul.map(|_| {
+            [
+                Pass::Rows(Direction::Inverse),
+                Pass::Cols(Direction::Inverse, None),
+            ]
+        });
+        [Pass::Rows(dir), Pass::Cols(dir, mul)]
+            .into_iter()
+            .chain(inverse.into_iter().flatten())
+    }
+}
+
+/// One pass of a plane op over every row or every column.
+#[derive(Clone, Copy)]
+enum Pass<'a> {
+    Rows(Direction),
+    /// Columns; with a transfer, each column group is multiplied by it
+    /// (conjugated when the flag is set) right after its transform.
+    Cols(Direction, Option<(&'a [Complex64], bool)>),
+}
+
+/// Lines `lo..hi` (rows or columns) of one plane's pass, as a lane job:
+/// [`simd::run`] picks the lane type, and every pass of every entry point
+/// — per-sample, batched, pooled — runs through here.
+struct PassJob<'a> {
+    fft: &'a Fft2,
+    /// The plane's interleaved samples.
+    data: RowsPtr,
+    pass: Pass<'a>,
+    lo: usize,
+    hi: usize,
+    stage: &'a mut [f64],
+    scratch: &'a mut [f64],
+}
+
+impl LaneJob for PassJob<'_> {
+    type Output = ();
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn run<V: SimdF64>(self) {
+        let PassJob {
+            fft,
+            data,
+            pass,
+            lo,
+            hi,
+            stage,
+            scratch,
+        } = self;
+        // SAFETY: whoever builds the job hands it lines lo..hi of a live
+        // plane that nothing else touches during the job, with `stage` and
+        // `scratch` sized by `stage_len` / the plan scratch at the level
+        // `simd::run` dispatches (see `Fft2::drive`/`Fft2::pass_pooled`).
+        unsafe {
+            match pass {
+                Pass::Rows(dir) => fft.rows_v::<V>(data.0, lo, hi, dir, stage, scratch),
+                Pass::Cols(dir, mul) => {
+                    let full = lo + (hi - lo) / V::LANES * V::LANES;
+                    fft.cols_v::<V>(data.0, lo, full, dir, mul, stage, scratch);
+                    fft.cols_v::<F64x1>(data.0, full, hi, dir, mul, stage, scratch);
+                }
+            }
+        }
     }
 }
 
@@ -1638,43 +1693,31 @@ impl Fft2 {
         (self.rows, self.cols)
     }
 
-    /// Allocates a workspace sized for this engine's shape at one lane.
+    /// Allocates a workspace sized for this engine's shape at the runtime
+    /// dispatch width, so every entry point — per-sample, batched, fused
+    /// convolve — is allocation-free from its first call.
     pub fn make_workspace(&self) -> Fft2Workspace {
-        let mut simd = SimdScratch::default();
-        simd.ensure(self.rows, self.cols, self.max_plan_scratch(), 1);
-        Fft2Workspace {
+        let mut ws = Fft2Workspace {
             rows: self.rows,
             cols: self.cols,
-            simd,
-        }
+            stage: Vec::new(),
+            scratch: Vec::new(),
+        };
+        ws.ensure(self.max_plan_scratch(), simd::dispatch().lanes());
+        ws
     }
 
-    /// Allocates a batched workspace sized for this engine's shape (valid
-    /// for any batch count — per-plane scratch is batch-independent), with
-    /// the lane-packed SIMD buffers pre-sized for the runtime dispatch
-    /// level so the batched entry points stay allocation-free from the
-    /// first call.
+    /// Allocates a batched workspace for this engine's shape (valid for
+    /// any batch count — per-plane scratch is batch-independent).
     pub fn make_batch_workspace(&self) -> BatchWorkspace {
-        let mut fft = self.make_workspace();
-        self.prepare_batch_workspace(&mut fft);
-        BatchWorkspace { fft }
+        BatchWorkspace {
+            fft: self.make_workspace(),
+        }
     }
 
     /// Widest per-axis plan scratch requirement, in elements.
     fn max_plan_scratch(&self) -> usize {
         self.row_plan.scratch_len().max(self.col_plan.scratch_len())
-    }
-
-    /// Pre-sizes `workspace`'s lane buffers for this shape at the current
-    /// runtime dispatch width, so a later batched call does not allocate.
-    /// A no-op when dispatch is one lane or when already sized.
-    pub fn prepare_batch_workspace(&self, workspace: &mut Fft2Workspace) {
-        workspace.simd.ensure(
-            self.rows,
-            self.cols,
-            self.max_plan_scratch(),
-            simd::dispatch().lanes(),
-        );
     }
 
     /// In-place forward 2-D FFT.
@@ -1714,9 +1757,8 @@ impl Fft2 {
     }
 
     /// In-place 2-D transform of one row-major `rows × cols` plane given as
-    /// a raw sample slice: the one-lane instance of the 2-D pipeline, run
-    /// in place (or split across the pool for large fields). Zero heap
-    /// allocation (sequential mode).
+    /// a raw sample slice — the batch of one. Zero heap allocation
+    /// (sequential mode).
     ///
     /// # Panics
     ///
@@ -1733,21 +1775,7 @@ impl Fft2 {
             self.rows * self.cols,
             "Fft2 plane length mismatch"
         );
-        assert_eq!(
-            workspace.shape(),
-            (self.rows, self.cols),
-            "Fft2 workspace shape mismatch"
-        );
-        if self.pooled() {
-            {
-                let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-                self.rows_pass_parallel(data, dir);
-            }
-            let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-            self.cols_pass_parallel(data, dir);
-        } else {
-            self.process_group_v::<F64x1>(data, dir, workspace);
-        }
+        self.drive(data, PlaneOp::Fft(dir), workspace);
     }
 
     /// Transforms every active plane of `batch` in place: one shared
@@ -1770,7 +1798,7 @@ impl Fft2 {
             (self.rows, self.cols),
             "Fft2 batch plane shape mismatch"
         );
-        self.process_planes(batch.as_mut_slice(), dir, &mut workspace.fft);
+        self.drive(batch.as_mut_slice(), PlaneOp::Fft(dir), &mut workspace.fft);
     }
 
     /// True when one plane's row/column passes split across the worker
@@ -1781,142 +1809,177 @@ impl Fft2 {
             && !parallel::in_parallel_region()
     }
 
-    /// Picks how many planes to co-process per vector op for this batch:
-    /// the runtime [`simd::dispatch`] level, except when the per-plane
-    /// kernels would split across the worker pool — pooled row/column
-    /// passes already saturate the core budget, so batched work keeps one
-    /// lane per plane there (see the module docs).
-    fn batch_level(&self) -> SimdLevel {
-        if self.pooled() {
-            SimdLevel::Scalar
-        } else {
-            simd::dispatch()
-        }
-    }
-
-    /// Transforms a contiguous run of row-major planes, co-processing
-    /// groups of 4 then 2 planes per vector op at the dispatched level and
-    /// finishing remainder planes one lane at a time. Every lane executes
-    /// the one-lane operation sequence, so results are bitwise identical
-    /// to per-plane [`Fft2::process_slice_with`] calls at every dispatch
-    /// level.
-    fn process_planes(&self, planes: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
+    /// The one 2-D pipeline behind every entry point: runs `op` on each
+    /// row-major plane of `planes` at the [`simd::dispatch`] level, `L`
+    /// rows or `L` columns of one plane per vector op, the `rows mod L`
+    /// and `cols mod L` leftovers one lane at a time. Every lane runs the
+    /// one-lane operation sequence on its own row or column, so results
+    /// are bitwise identical at every level and batch size. Large planes
+    /// split each pass across the pool ([`Fft2::pass_pooled`]).
+    fn drive(&self, planes: &mut [Complex64], op: PlaneOp<'_>, ws: &mut Fft2Workspace) {
+        assert_eq!(
+            ws.shape(),
+            (self.rows, self.cols),
+            "Fft2 workspace shape mismatch"
+        );
         let plane_len = self.rows * self.cols;
-        debug_assert_eq!(planes.len() % plane_len, 0);
-        let level = self.batch_level();
-        let mut rest = planes;
-        if level >= SimdLevel::X4 {
-            while rest.len() >= 4 * plane_len {
-                let (group, tail) = rest.split_at_mut(4 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X4));
-                self.process_group_x4(group, dir, ws);
-                rest = tail;
+        assert_eq!(planes.len() % plane_len, 0, "Fft2 plane length mismatch");
+        let level = simd::dispatch();
+        let pooled = self.pooled();
+        // Steady-state no-op: `make_workspace` sized the dispatch width.
+        ws.ensure(self.max_plan_scratch(), level.lanes());
+        for plane in planes.chunks_exact_mut(plane_len) {
+            let _t = KernelTimer::start(simd_cell(level));
+            let data = RowsPtr(interleaved_mut(plane).as_mut_ptr());
+            for pass in op.passes() {
+                let _t = match pass {
+                    Pass::Rows(_) => pass_timer(KernelKind::FftRows, &self.row_plan),
+                    Pass::Cols(..) => pass_timer(KernelKind::FftCols, &self.col_plan),
+                };
+                if pooled {
+                    self.pass_pooled(level, data, pass);
+                } else {
+                    let hi = match pass {
+                        Pass::Rows(_) => self.rows,
+                        Pass::Cols(..) => self.cols,
+                    };
+                    simd::run(
+                        level,
+                        PassJob {
+                            fft: self,
+                            data,
+                            pass,
+                            lo: 0,
+                            hi,
+                            stage: &mut ws.stage,
+                            scratch: &mut ws.scratch,
+                        },
+                    );
+                }
             }
         }
-        if level >= SimdLevel::X2 {
-            while rest.len() >= 2 * plane_len {
-                let (group, tail) = rest.split_at_mut(2 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X2));
-                self.process_group_v::<simd::F64x2>(group, dir, ws);
-                rest = tail;
+    }
+
+    /// One pass split across the worker pool: tasks take whole lane groups
+    /// of rows, or [`COL_BLOCK`]-column blocks, each with per-thread
+    /// staging, so pooled planes run at the same lane width.
+    fn pass_pooled(&self, level: SimdLevel, data: RowsPtr, pass: Pass<'_>) {
+        let lanes = level.lanes();
+        let (lines, chunk) = match pass {
+            Pass::Rows(_) => {
+                let tasks = parallel::threads().min(self.rows) * 4;
+                let chunk = self.rows.div_ceil(tasks).next_multiple_of(lanes);
+                (self.rows, chunk)
             }
-        }
-        for plane in rest.chunks_exact_mut(plane_len) {
-            let _t = KernelTimer::start(KernelKind::SimdScalar);
-            self.process_slice_with(plane, dir, ws);
-        }
+            Pass::Cols(..) => (self.cols, COL_BLOCK),
+        };
+        let stage = stage_len(self.rows, self.cols, lanes);
+        let scratch = 2 * lanes * self.max_plan_scratch();
+        parallel::par_for(lines.div_ceil(chunk), |t| {
+            let data = &data; // capture the Sync wrapper, not the raw field
+            with_thread_scratch(stage, |stage| {
+                with_thread_scratch(scratch, |scratch| {
+                    // Chunks are whole lane groups (the last may be short),
+                    // so tasks touch disjoint lines.
+                    simd::run(
+                        level,
+                        PassJob {
+                            fft: self,
+                            data: *data,
+                            pass,
+                            lo: t * chunk,
+                            hi: ((t + 1) * chunk).min(lines),
+                            stage,
+                            scratch,
+                        },
+                    );
+                });
+            });
+        });
     }
 
-    /// Four-lane group transform, routed through the AVX2-enabled wrapper
-    /// on x86-64 so the generic kernels compile to AVX instructions.
-    #[inline]
-    fn process_group_x4(&self, group: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: reached only when `batch_level() ≥ X4`, and dispatch/force
-        // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
-        unsafe {
-            self.process_group_avx2(group, dir, ws)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.process_group_v::<simd::F64x4>(group, dir, ws)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn process_group_avx2(&self, group: &mut [Complex64], dir: Direction, ws: &mut Fft2Workspace) {
-        self.process_group_v::<simd::F64x4>(group, dir, ws)
-    }
-
-    /// Runs the 2-D pipeline over a group of `V::LANES` planes: packed into
-    /// the split re/im lane-major layout and back at `L ≥ 2`, in place at
-    /// one lane (where the packed layout is the plane itself).
+    /// Rows `lo..hi` of the plane at `data`: whole groups of `V::LANES`
+    /// rows gathered into the lane staging, transformed and scattered
+    /// back; the rest (every row at one lane) one lane in place.
+    ///
+    /// # Safety
+    ///
+    /// `data` must point to the plane's `rows·cols` interleaved samples,
+    /// with rows `lo..hi` accessed by no one else during the call.
     #[cfg_attr(not(debug_assertions), inline(always))]
-    fn process_group_v<V: SimdF64>(
+    unsafe fn rows_v<V: SimdF64>(
         &self,
-        group: &mut [Complex64],
+        data: *mut f64,
+        lo: usize,
+        hi: usize,
         dir: Direction,
-        ws: &mut Fft2Workspace,
-    ) {
-        // Steady-state no-op: `make_workspace` sizes one lane and
-        // `make_batch_workspace` the dispatch width; this covers
-        // caller-assembled workspaces.
-        ws.simd
-            .ensure(self.rows, self.cols, self.max_plan_scratch(), V::LANES);
-        let SimdScratch {
-            packed,
-            scratch,
-            col_block,
-        } = &mut ws.simd;
-        if V::LANES == 1 {
-            self.fft2_packed_v::<V>(dir, interleaved_mut(group), scratch, col_block);
-            return;
-        }
-        let packed = &mut packed[..self.rows * self.cols * 2 * V::LANES];
-        pack_group::<V>(group, packed);
-        self.fft2_packed_v::<V>(dir, packed, scratch, col_block);
-        unpack_group::<V>(packed, group);
-    }
-
-    /// The 2-D row/column pipeline over one lane-packed group: rows in
-    /// place, then columns through the cache-blocked strided kernel —
-    /// gather up to `col_block_width(L)` columns into contiguous staging,
-    /// transform each, and scatter back. No full-field transpose is ever
-    /// materialized.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn fft2_packed_v<V: SimdF64>(
-        &self,
-        dir: Direction,
-        packed: &mut [f64],
+        stage: &mut [f64],
         scratch: &mut [f64],
-        col_block: &mut [f64],
     ) {
-        let (rows, cols) = (self.rows, self.cols);
-        let stride = 2 * V::LANES;
-        {
-            let _t = pass_timer(KernelKind::FftRows, &self.row_plan);
-            for row in packed.chunks_exact_mut(cols * stride) {
-                self.row_plan.process_v::<V>(row, dir, scratch);
+        let (lanes, cols) = (V::LANES, self.cols);
+        let groups = if lanes == 1 { 0 } else { (hi - lo) / lanes };
+        let stage = &mut stage[..2 * lanes * cols];
+        for g in 0..groups {
+            // SAFETY: rows lo + g·L .. lo + (g+1)·L ≤ hi lie inside the
+            // plane and belong to this call.
+            unsafe {
+                let first = data.add(2 * (lo + g * lanes) * cols);
+                gather_lanes::<V>(first, cols, 1, cols, 1, stage);
+                self.row_plan.process_v::<V>(stage, dir, scratch);
+                scatter_lanes::<V>(stage, cols, 1, cols, 1, first);
             }
         }
-        let _t = pass_timer(KernelKind::FftCols, &self.col_plan);
-        let mut c0 = 0;
-        while c0 < cols {
-            let bw = col_block_width(V::LANES).min(cols - c0);
-            // SAFETY: `packed` is exclusively borrowed and holds rows·cols
-            // packed elements; c0 + bw ≤ cols, and `ensure` sized
-            // `col_block` for rows·bw elements.
-            unsafe { gather_columns::<V>(packed.as_ptr(), rows, cols, c0, bw, col_block) };
-            for k in 0..bw {
-                self.col_plan.process_v::<V>(
-                    &mut col_block[k * rows * stride..(k + 1) * rows * stride],
-                    dir,
-                    scratch,
-                );
+        for r in lo + groups * lanes..hi {
+            // SAFETY: row r < hi is 2·cols f64s inside the plane, borrowed
+            // by this call alone.
+            let row = unsafe { std::slice::from_raw_parts_mut(data.add(2 * r * cols), 2 * cols) };
+            self.row_plan.process_v::<F64x1>(row, dir, scratch);
+        }
+    }
+
+    /// Columns `lo..hi` (a whole number of `V::LANES`-column groups) in
+    /// blocks of up to [`COL_BLOCK`]: each block gathered row by row into
+    /// the lane staging, each group transformed (and multiplied by the
+    /// transfer when `mul` is set), the block scattered back. No
+    /// full-field transpose is ever materialized.
+    ///
+    /// # Safety
+    ///
+    /// `data` must point to the plane's `rows·cols` interleaved samples,
+    /// with columns `lo..hi` accessed by no one else during the call.
+    #[allow(clippy::too_many_arguments)]
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    unsafe fn cols_v<V: SimdF64>(
+        &self,
+        data: *mut f64,
+        lo: usize,
+        hi: usize,
+        dir: Direction,
+        mul: Option<(&[Complex64], bool)>,
+        stage: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let (lanes, rows, cols) = (V::LANES, self.rows, self.cols);
+        let group_len = 2 * lanes * rows;
+        let mut c0 = lo;
+        while c0 < hi {
+            let groups = COL_BLOCK.min(hi - c0) / lanes;
+            let block = &mut stage[..groups * group_len];
+            // SAFETY: columns c0 .. c0 + groups·L ≤ hi lie inside the plane
+            // and belong to this call.
+            let first = unsafe { data.add(2 * c0) };
+            // SAFETY: as above.
+            unsafe { gather_lanes::<V>(first, rows, cols, 1, groups, block) };
+            for (g, group) in block.chunks_exact_mut(group_len).enumerate() {
+                self.col_plan.process_v::<V>(group, dir, scratch);
+                if let Some((transfer, adj)) = mul {
+                    let _t = KernelTimer::start(KernelKind::Transfer);
+                    mul_transfer_lanes::<V>(group, &transfer[c0 + g * lanes..], cols, adj);
+                }
             }
-            // SAFETY: same exclusive borrow and bounds as the gather; the
-            // write-back targets the same columns.
-            unsafe { scatter_columns::<V>(col_block, rows, cols, c0, bw, packed.as_mut_ptr()) };
-            c0 += bw;
+            // SAFETY: as above.
+            unsafe { scatter_lanes::<V>(block, rows, cols, 1, groups, first) };
+            c0 += groups * lanes;
         }
     }
 
@@ -1930,67 +1993,6 @@ impl Fft2 {
     /// [`Fft2::process_batch_with`]).
     pub fn ifft2_batch_with(&self, batch: &mut FieldBatch, workspace: &mut BatchWorkspace) {
         self.process_batch_with(batch, Direction::Inverse, workspace);
-    }
-
-    /// Row transforms split across the worker pool; per-thread scratch.
-    fn rows_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
-        let (rows, cols) = (self.rows, self.cols);
-        let tasks = parallel::threads().min(rows).max(1) * 4;
-        let chunk = rows.div_ceil(tasks);
-        let tasks = rows.div_ceil(chunk);
-        let base = RowsPtr(interleaved_mut(data).as_mut_ptr());
-        let plan = &self.row_plan;
-        parallel::par_for(tasks, |t| {
-            let base = &base; // capture the Sync wrapper, not the raw field
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(rows);
-            let len = 2 * cols; // f64s per row
-            with_thread_scratch(2 * plan.scratch_len(), |scratch| {
-                for r in lo..hi {
-                    // SAFETY: tasks own disjoint row ranges of the buffer,
-                    // which outlives par_for's completion barrier.
-                    let row = unsafe { std::slice::from_raw_parts_mut(base.0.add(r * len), len) };
-                    plan.process_v::<F64x1>(row, dir, scratch);
-                }
-            });
-        });
-    }
-
-    /// Column blocks split across the worker pool; per-thread staging.
-    fn cols_pass_parallel(&self, data: &mut [Complex64], dir: Direction) {
-        let (rows, cols) = (self.rows, self.cols);
-        let width = col_block_width(1);
-        let blocks = cols.div_ceil(width);
-        let base = RowsPtr(interleaved_mut(data).as_mut_ptr());
-        let plan = &self.col_plan;
-        parallel::par_for(blocks, |b| {
-            let base = &base; // capture the Sync wrapper, not the raw field
-            let c0 = b * width;
-            let bw = width.min(cols - c0);
-            with_thread_scratch(2 * rows * bw, |block| {
-                with_thread_scratch(2 * plan.scratch_len(), |scratch| {
-                    // SAFETY: tasks touch disjoint column ranges [c0, c0+bw)
-                    // through raw pointer arithmetic only — no task ever
-                    // forms a reference spanning another task's columns —
-                    // and the buffer outlives par_for's completion barrier.
-                    unsafe {
-                        gather_columns::<F64x1>(base.0, rows, cols, c0, bw, block);
-                    }
-                    for k in 0..bw {
-                        plan.process_v::<F64x1>(
-                            &mut block[2 * k * rows..2 * (k + 1) * rows],
-                            dir,
-                            scratch,
-                        );
-                    }
-                    // SAFETY: write-back to this task's own disjoint
-                    // columns — the same argument as the gather above.
-                    unsafe {
-                        scatter_columns::<F64x1>(block, rows, cols, c0, bw, base.0);
-                    }
-                });
-            });
-        });
     }
 
     /// The pre-optimization 2-D pipeline: transform rows, materialize the
@@ -2026,34 +2028,30 @@ impl Fft2 {
     ///
     /// Panics if shapes do not match.
     pub fn convolve_spectrum(&self, field: &mut Field, transfer: &Field) {
-        self.forward(field);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            field.hadamard_assign(transfer);
-        }
-        self.inverse(field);
+        assert_eq!(field.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
+        with_tls_workspace(self, |fft, ws| {
+            fft.convolve_planes(field.as_mut_slice(), transfer, false, ws)
+        });
     }
 
     /// Adjoint of [`Fft2::convolve_spectrum`]: propagates a gradient with the
     /// conjugated transfer function. Under the `(1, 1/N)` normalization the
     /// adjoint of `F⁻¹ diag(H) F` is exactly `F⁻¹ diag(H̄) F`.
     pub fn convolve_spectrum_adjoint(&self, grad: &mut Field, transfer: &Field) {
-        self.forward(grad);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            grad.hadamard_conj_assign(transfer);
-        }
-        self.inverse(grad);
+        assert_eq!(grad.shape(), (self.rows, self.cols), "Fft2 shape mismatch");
+        with_tls_workspace(self, |fft, ws| {
+            fft.convolve_planes(grad.as_mut_slice(), transfer, true, ws)
+        });
     }
 
     /// [`Fft2::convolve_spectrum`] with caller-owned scratch over a
     /// contiguous run of row-major planes (one plane is a batch of one):
     /// the fused `IFFT2( FFT2(plane) ⊙ transfer )` propagation step, with
-    /// the cached transfer kernel broadcast across batch lanes. Bitwise
-    /// identical per plane at every batch size and dispatch level (each
-    /// lane runs the one-lane operation sequence; the transfer multiply
-    /// uses the `Complex64` product formula lanewise). Zero heap
-    /// allocation in steady state.
+    /// the transfer multiply applied to each column group while the
+    /// forward column pass still holds it. Bitwise identical per plane at
+    /// every batch size and dispatch level (each lane runs the one-lane
+    /// operation sequence; the multiply is the `Complex64` product
+    /// formula lanewise). Zero heap allocation in steady state.
     ///
     /// # Panics
     ///
@@ -2069,8 +2067,7 @@ impl Fft2 {
 
     /// [`Fft2::convolve_spectrum_adjoint`] with caller-owned scratch over a
     /// run of planes: gradient propagation with the conjugated transfer
-    /// function across batch lanes (see
-    /// [`Fft2::convolve_spectrum_batch_with`]).
+    /// function (see [`Fft2::convolve_spectrum_batch_with`]).
     ///
     /// # Panics
     ///
@@ -2084,8 +2081,8 @@ impl Fft2 {
         self.convolve_planes(planes, transfer, true, workspace);
     }
 
-    /// Shared grouped driver behind both batched convolve entry points;
-    /// `adj` selects the conjugated (adjoint) transfer multiply.
+    /// Shared body of the convolve entry points; `adj` selects the
+    /// conjugated (adjoint) transfer multiply.
     fn convolve_planes(
         &self,
         planes: &mut [Complex64],
@@ -2098,164 +2095,83 @@ impl Fft2 {
             (self.rows, self.cols),
             "transfer shape mismatch"
         );
-        let plane_len = self.rows * self.cols;
-        assert_eq!(planes.len() % plane_len, 0, "Fft2 plane length mismatch");
-        let level = self.batch_level();
-        let mut rest = planes;
-        if level >= SimdLevel::X4 {
-            while rest.len() >= 4 * plane_len {
-                let (group, tail) = rest.split_at_mut(4 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X4));
-                self.convolve_group_x4(group, transfer, adj, ws);
-                rest = tail;
-            }
-        }
-        if level >= SimdLevel::X2 {
-            while rest.len() >= 2 * plane_len {
-                let (group, tail) = rest.split_at_mut(2 * plane_len);
-                let _t = KernelTimer::start(simd_cell(SimdLevel::X2));
-                self.convolve_group_v::<simd::F64x2>(group, transfer, adj, ws);
-                rest = tail;
-            }
-        }
-        for plane in rest.chunks_exact_mut(plane_len) {
-            let _t = KernelTimer::start(KernelKind::SimdScalar);
-            self.process_slice_with(plane, Direction::Forward, ws);
-            {
-                let _t = KernelTimer::start(KernelKind::Transfer);
-                mul_coeffs_packed::<F64x1>(interleaved_mut(plane), transfer.as_slice(), adj);
-            }
-            self.process_slice_with(plane, Direction::Inverse, ws);
-        }
-    }
-
-    /// Four-lane group convolve, routed through the AVX2-enabled wrapper
-    /// on x86-64 (see [`Fft2::process_group_x4`]).
-    #[inline]
-    fn convolve_group_x4(
-        &self,
-        group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
-        ws: &mut Fft2Workspace,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: reached only when `batch_level() ≥ X4`, and dispatch/force
-        // clamp X4 to X2 unless AVX2 was detected at runtime on this CPU.
-        unsafe {
-            self.convolve_group_avx2(group, transfer, adj, ws)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.convolve_group_v::<simd::F64x4>(group, transfer, adj, ws)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn convolve_group_avx2(
-        &self,
-        group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
-        ws: &mut Fft2Workspace,
-    ) {
-        self.convolve_group_v::<simd::F64x4>(group, transfer, adj, ws)
-    }
-
-    /// One packed group of the fused convolve: forward pipeline, broadcast
-    /// transfer multiply, inverse pipeline — one pack/unpack round trip for
-    /// the whole step.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn convolve_group_v<V: SimdF64>(
-        &self,
-        group: &mut [Complex64],
-        transfer: &Field,
-        adj: bool,
-        ws: &mut Fft2Workspace,
-    ) {
-        let stride = 2 * V::LANES;
-        let n = self.rows * self.cols;
-        ws.simd
-            .ensure(self.rows, self.cols, self.max_plan_scratch(), V::LANES);
-        let SimdScratch {
-            packed,
-            scratch,
-            col_block,
-        } = &mut ws.simd;
-        let packed = &mut packed[..n * stride];
-        pack_group::<V>(group, packed);
-        self.fft2_packed_v::<V>(Direction::Forward, packed, scratch, col_block);
-        {
-            let _t = KernelTimer::start(KernelKind::Transfer);
-            mul_coeffs_packed::<V>(packed, transfer.as_slice(), adj);
-        }
-        self.fft2_packed_v::<V>(Direction::Inverse, packed, scratch, col_block);
-        unpack_group::<V>(packed, group);
+        let transfer = transfer.as_slice();
+        self.drive(planes, PlaneOp::Convolve { transfer, adj }, ws);
     }
 }
 
-/// Copies columns `[c0, c0+bw)` of a row-major `rows × cols` packed buffer
-/// into column-major staging (`block` element `k·rows + r` = `data`
-/// element `r·cols + c0 + k`, each element `2·V::LANES` f64s).
+/// Gathers `groups` lane groups of `n`-element lines from an interleaved
+/// plane into split re/im lane-major staging. Lane `l` of group `g` is the
+/// line starting at sample `(g·L + l)·lane_step` of `src`, its element `i`
+/// at `+ i·elem_step`; that sample lands at `dst[(g·n + i)·2L + l]` (re)
+/// and `+ L` (im). A group of rows uses `elem_step = 1, lane_step = cols`;
+/// a block of columns `elem_step = cols, lane_step = 1`, so each row's
+/// slice of the block is read contiguously.
 ///
 /// Takes a raw base pointer so concurrent tasks working on *disjoint*
-/// column ranges of one buffer never materialize overlapping `&`/`&mut`
-/// slices (which would be UB even with disjoint element access).
+/// lines of one plane never materialize overlapping `&`/`&mut` slices
+/// (which would be UB even with disjoint element access).
 ///
 /// # Safety
 ///
-/// `data` must point to at least `rows·cols` readable packed elements that
-/// no other thread writes in the accessed columns during the call, and
-/// `c0 + bw ≤ cols` must hold.
+/// Every addressed sample must lie inside one live plane that no other
+/// thread writes in these lines during the call.
 #[cfg_attr(not(debug_assertions), inline(always))]
-unsafe fn gather_columns<V: SimdF64>(
-    data: *const f64,
-    rows: usize,
-    cols: usize,
-    c0: usize,
-    bw: usize,
-    block: &mut [f64],
+unsafe fn gather_lanes<V: SimdF64>(
+    src: *const f64,
+    n: usize,
+    elem_step: usize,
+    lane_step: usize,
+    groups: usize,
+    dst: &mut [f64],
 ) {
-    let stride = 2 * V::LANES;
-    assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
-    let bp = block.as_mut_ptr();
-    for r in 0..rows {
-        for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract,
-            // and k·rows + r < rows·bw elements of `block` (checked above).
-            unsafe {
-                VComplex::<V>::load(data.add((r * cols + c0 + k) * stride))
-                    .store(bp.add((k * rows + r) * stride));
+    let lanes = V::LANES;
+    assert!(dst.len() >= groups * n * 2 * lanes);
+    let d = dst.as_mut_ptr();
+    for i in 0..n {
+        for g in 0..groups {
+            for l in 0..lanes {
+                // SAFETY: the source sample is in the caller's lines; the
+                // staging offset is < groups·n·2L (checked above).
+                unsafe {
+                    let s = src.add(2 * (i * elem_step + (g * lanes + l) * lane_step));
+                    let o = d.add((g * n + i) * 2 * lanes + l);
+                    *o = *s;
+                    *o.add(lanes) = *s.add(1);
+                }
             }
         }
     }
 }
 
-/// Inverse of [`gather_columns`].
+/// Inverse of [`gather_lanes`].
 ///
 /// # Safety
 ///
-/// `data` must point to at least `rows·cols` writable packed elements
-/// whose columns `[c0, c0+bw)` no other thread accesses during the call,
-/// and `c0 + bw ≤ cols` must hold.
+/// Every addressed sample must lie inside one live plane that no other
+/// thread accesses in these lines during the call.
 #[cfg_attr(not(debug_assertions), inline(always))]
-unsafe fn scatter_columns<V: SimdF64>(
-    block: &[f64],
-    rows: usize,
-    cols: usize,
-    c0: usize,
-    bw: usize,
-    data: *mut f64,
+unsafe fn scatter_lanes<V: SimdF64>(
+    src: &[f64],
+    n: usize,
+    elem_step: usize,
+    lane_step: usize,
+    groups: usize,
+    dst: *mut f64,
 ) {
-    let stride = 2 * V::LANES;
-    assert!(c0 + bw <= cols && block.len() >= rows * bw * stride);
-    let bp = block.as_ptr();
-    for r in 0..rows {
-        for k in 0..bw {
-            // SAFETY: r·cols + c0 + k < rows·cols by the caller contract,
-            // and k·rows + r < rows·bw elements of `block` (checked above).
-            unsafe {
-                VComplex::<V>::load(bp.add((k * rows + r) * stride))
-                    .store(data.add((r * cols + c0 + k) * stride));
+    let lanes = V::LANES;
+    assert!(src.len() >= groups * n * 2 * lanes);
+    let s = src.as_ptr();
+    for i in 0..n {
+        for g in 0..groups {
+            for l in 0..lanes {
+                // SAFETY: same bounds as `gather_lanes`, directions swapped.
+                unsafe {
+                    let o = dst.add(2 * (i * elem_step + (g * lanes + l) * lane_step));
+                    let p = s.add((g * n + i) * 2 * lanes + l);
+                    *o = *p;
+                    *o.add(1) = *p.add(lanes);
+                }
             }
         }
     }
@@ -2718,29 +2634,51 @@ mod tests {
         }
     }
 
+    /// Every dispatch level the CPU executes.
+    fn executable_levels() -> Vec<SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::X2, SimdLevel::X4]
+            .into_iter()
+            .filter(|&level| {
+                let _g = simd::force(Some(level));
+                simd::dispatch() == level
+            })
+            .collect()
+    }
+
     #[test]
     fn fft2_parallel_path_matches_sequential() {
-        // 256×256 = 65536 samples crosses PAR_MIN_LEN, engaging the pooled
-        // row/column loops when threads are available.
+        // 183×181 = 33 123 samples crosses PAR_MIN_LEN, engaging the pooled
+        // passes when threads are available. Odd sides leave leftover rows
+        // and columns at every lane width; 181 is a Rader prime and 183 =
+        // 3·61 a Bluestein length.
         let _guard = parallel::thread_count_test_guard();
-        let n = 256;
-        let fft = Fft2::new(n, n);
-        let f = Field::from_fn(n, n, |r, c| {
+        let (rows, cols) = (183, 181);
+        let fft = Fft2::new(rows, cols);
+        let f = Field::from_fn(rows, cols, |r, c| {
             Complex64::new((r as f64 * 0.01).sin(), (c as f64 * 0.02).cos())
         });
-        // Force threads() > 1 so the pooled branch runs even on a
-        // single-core machine (the caller then claims every task itself).
-        parallel::set_threads(4);
-        let mut par = f.clone();
-        fft.forward(&mut par);
-        parallel::set_threads(1);
-        let mut seq = f.clone();
-        fft.forward(&mut seq);
+        let h = Field::from_fn(rows, cols, |r, c| Complex64::cis((r * c) as f64 * 1e-3));
+        // Forward transform, then a fused convolve, on one plane.
+        let run = |threads: usize| {
+            parallel::set_threads(threads);
+            let mut g = f.clone();
+            fft.forward(&mut g);
+            let mut ws = fft.make_workspace();
+            fft.convolve_spectrum_batch_with(g.as_mut_slice(), &h, &mut ws);
+            g
+        };
+        for level in executable_levels() {
+            let _dispatch = simd::force(Some(level));
+            // threads() > 1 runs the pooled passes even on a single-core
+            // machine (the caller then claims every task itself).
+            let par = run(2);
+            let seq = run(1);
+            assert_eq!(
+                par, seq,
+                "pooled passes must be bit-identical to sequential at {level:?}"
+            );
+        }
         parallel::set_threads(0);
-        assert_eq!(
-            par, seq,
-            "pooled FFT loops must be bit-identical to sequential"
-        );
     }
 
     #[test]
@@ -2749,8 +2687,7 @@ mod tests {
         use lr_obs::{kernel_profile, reset_kernel_profile, set_kernel_profiling, KernelKind};
 
         // 31 rows → Rader plan (30 = 2·3·5), 16 cols → radix-2; 496
-        // samples stay far under the pooled-parallel threshold, so the
-        // lane-packed path runs at the dispatched level on any machine.
+        // samples stay far under the pooled-parallel threshold.
         let fft = Fft2::new(31, 16);
         let mut batch = FieldBatch::zeros(4, 31, 16);
         for b in 0..4 {
@@ -2759,20 +2696,39 @@ mod tests {
             });
             batch.copy_plane_from(b, &f);
         }
+        // A pooled plane: 183×181 crosses PAR_MIN_LEN at two threads.
+        let pooled = Fft2::new(183, 181);
+        let mut big = Field::from_fn(183, 181, |r, c| Complex64::new(r as f64, c as f64));
+        let _threads = parallel::thread_count_test_guard();
+        parallel::set_threads(2);
         // Hold the dispatch lock at the auto-detected level so no other
-        // test can move the tier between the transform and the assertion.
+        // test can move the tier between the transforms and the assertion.
         let _dispatch = simd::force(None);
         let mut ws = fft.make_batch_workspace();
+        let mut pooled_ws = pooled.make_workspace();
         set_kernel_profiling(true);
         reset_kernel_profile();
         fft.fft2_batch_with(&mut batch, &mut ws);
+        fft.process_slice_with(batch.plane_mut(0), Direction::Forward, ws.fft_mut());
+        pooled.process_with(&mut big, Direction::Forward, &mut pooled_ws);
         set_kernel_profiling(false);
+        parallel::set_threads(0);
         let profile = kernel_profile();
         let cell = simd_cell(simd::dispatch());
+        // Four batched planes, one per-sample plane, one pooled plane.
         assert!(
-            profile.get(cell).calls > 0,
-            "batched transform must attribute time to the dispatched tier ({cell:?})"
+            profile.get(cell).calls >= 6,
+            "every plane — batched, B=1 and pooled — must be charged to the dispatched tier \
+             ({cell:?}: {} calls)",
+            profile.get(cell).calls
         );
+        if cell != KernelKind::SimdScalar {
+            assert_eq!(
+                profile.get(KernelKind::SimdScalar).calls,
+                0,
+                "no plane may fall back to one lane above scalar dispatch"
+            );
+        }
         assert!(
             profile.get(KernelKind::Rader).calls > 0,
             "prime-size rows must attribute their passes to the Rader cell"

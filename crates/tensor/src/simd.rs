@@ -16,9 +16,10 @@
 //! scalar path *is* the lane kernel at `L = 1`. SSE2 and NEON are baseline
 //! features of their targets, so [`F64x2`] is always safe to use.
 //! [`F64x4`] on x86-64 compiles to AVX instructions and is only ever
-//! *executed* behind the runtime [`dispatch`] check (callers wrap the
-//! flattened kernel in a `#[target_feature(enable = "avx2")]` function and
-//! cite the dispatch guard in a `// SAFETY:` comment).
+//! *executed* behind the runtime [`dispatch`] check: kernels implement the
+//! crate-internal `LaneJob` once, and `run` turns a dispatched level into
+//! a lane type, its X4 arm entering the crate's one
+//! `#[target_feature(enable = "avx2")]` function.
 //!
 //! # Dispatch
 //!
@@ -33,8 +34,9 @@
 //!
 //! # Equivalence contract
 //!
-//! Every dispatch level is **bitwise identical**. The FFT kernels pack
-//! lanes so each lane performs the exact one-lane operation sequence (see
+//! Every dispatch level is **bitwise identical**. The FFT pipeline gives
+//! each lane one row or column of a plane and runs the exact one-lane
+//! operation sequence on it (see
 //! `crate::fft` module docs), and [`sum_norm_sqr`] reduces through one
 //! fixed four-accumulator tree whatever the lane width, so the dispatch
 //! level changes speed, never results.
@@ -43,7 +45,7 @@ use crate::complex::Complex64;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The operations a lane type must provide for the cross-plane kernels.
+/// The operations a lane type must provide for the lane kernels.
 ///
 /// Every method is `#[inline(always)]` in every implementation: the vector
 /// kernels are generic over `V: SimdF64` and must flatten completely into
@@ -475,14 +477,15 @@ mod backend {
 
 pub use backend::{F64x2, F64x4};
 
-/// How many planes the batched kernels co-process per vector operation.
+/// How many lanes (rows or columns of a plane, or readout partial sums)
+/// the kernels co-process per vector operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// One plane at a time through the one-lane instance ([`F64x1`]).
+    /// One lane: the one-lane instance ([`F64x1`]).
     Scalar,
-    /// Two planes per op ([`F64x2`]: SSE2 / NEON / portable).
+    /// Two lanes per op ([`F64x2`]: SSE2 / NEON / portable).
     X2,
-    /// Four planes per op ([`F64x4`]: AVX2 on x86-64, polyfilled elsewhere).
+    /// Four lanes per op ([`F64x4`]: AVX2 on x86-64, polyfilled elsewhere).
     X4,
 }
 
@@ -618,6 +621,49 @@ pub fn force(level: Option<SimdLevel>) -> ForceGuard {
     ForceGuard { _lock: lock }
 }
 
+/// Kernel work generic over the lane type, run at a dispatch level by
+/// [`run`] — the one place in the crate where a level becomes a lane type.
+pub(crate) trait LaneJob {
+    /// What the job returns.
+    type Output;
+
+    /// Runs the job with lanes of type `V`. Implementations are
+    /// `#[inline(always)]` so the kernel chain flattens into [`run`]'s arm
+    /// (and into the AVX2 entry on x86-64).
+    fn run<V: SimdF64>(self) -> Self::Output;
+}
+
+/// Runs `job` with the lane type of `level`, which must come from
+/// [`dispatch`] (so it is executable on this CPU). On x86-64 the X4 arm
+/// enters through the crate's one `#[target_feature(enable = "avx2")]`
+/// function.
+#[inline]
+pub(crate) fn run<J: LaneJob>(level: SimdLevel, job: J) -> J::Output {
+    match level {
+        SimdLevel::Scalar => job.run::<F64x1>(),
+        SimdLevel::X2 => job.run::<F64x2>(),
+        SimdLevel::X4 => {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: `level` comes from dispatch(), which only yields
+                // X4 on x86-64 when AVX2 was detected at runtime
+                // (detect/force both clamp).
+                unsafe { run_avx2(job) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                job.run::<F64x4>()
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<J: LaneJob>(job: J) -> J::Output {
+    job.run::<F64x4>()
+}
+
 /// Width of the readout's partial-sum tree, in `f64`s.
 const TREE: usize = 4;
 
@@ -663,10 +709,15 @@ fn sum_norm_sqr_v<V: SimdF64>(samples: &[Complex64]) -> f64 {
     sum
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sum_norm_sqr_avx2(samples: &[Complex64]) -> f64 {
-    sum_norm_sqr_v::<F64x4>(samples)
+struct SumNormSqr<'a>(&'a [Complex64]);
+
+impl LaneJob for SumNormSqr<'_> {
+    type Output = f64;
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) -> f64 {
+        sum_norm_sqr_v::<V>(self.0)
+    }
 }
 
 /// Sum of `|z|²` over a slice, vectorized per the current [`dispatch`].
@@ -674,22 +725,7 @@ fn sum_norm_sqr_avx2(samples: &[Complex64]) -> f64 {
 /// Every level runs the same four-accumulator tree (see `sum_norm_sqr_v`),
 /// so the result is bitwise identical at every dispatch level.
 pub fn sum_norm_sqr(samples: &[Complex64]) -> f64 {
-    match dispatch() {
-        SimdLevel::Scalar => sum_norm_sqr_v::<F64x1>(samples),
-        SimdLevel::X2 => sum_norm_sqr_v::<F64x2>(samples),
-        SimdLevel::X4 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: dispatch() only returns X4 on x86-64 when AVX2
-                // was detected at runtime (detect/force both clamp).
-                unsafe { sum_norm_sqr_avx2(samples) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                sum_norm_sqr_v::<F64x4>(samples)
-            }
-        }
-    }
+    run(dispatch(), SumNormSqr(samples))
 }
 
 #[cfg(test)]

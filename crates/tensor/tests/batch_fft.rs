@@ -4,8 +4,9 @@
 //! (square and non-square), and FFT code paths (radix-2, mixed-radix
 //! Stockham, Rader, and Bluestein) — and every SIMD dispatch level must be
 //! bitwise identical to the one-lane instance, for every transform length
-//! up to 512. This is the invariant the whole batched propagation stack
-//! inherits.
+//! up to 512 along both axes and for grids whose sides leave leftover rows
+//! and columns at every lane width. This is the invariant the whole
+//! batched propagation stack inherits.
 
 use lr_tensor::simd::{self, SimdLevel};
 use lr_tensor::{dft_naive, Complex64, Direction, Fft2, FftPlan, Field, FieldBatch};
@@ -127,55 +128,72 @@ fn executable_levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// The cross-plane SIMD contract: every forced dispatch level the CPU can
-/// execute produces **bitwise identical** batched FFT and spectrum-
-/// convolution results to the one-lane instance — each vector lane
-/// performs the exact one-lane operation sequence, so there is no
-/// tolerance to negotiate on these paths. Covers batch sizes {1, 3, 32}
-/// (remainder lanes at both x2 and x4 grouping), non-square grids, and
-/// every plan kind: radix-2 (16), mixed-radix Stockham (20, 24), Rader
-/// primes (31: 30 = 2·3·5), and Bluestein (23: 22 has the factor 11).
+/// The SIMD contract: every forced dispatch level the CPU can execute
+/// produces **bitwise identical** batched forward and inverse transforms
+/// and fused convolves (plain and adjoint) to the one-lane instance — each
+/// vector lane performs the exact one-lane operation sequence on its own
+/// row or column, so there is no tolerance to negotiate on these paths.
+/// Covers B ∈ {1, 3}, every plan kind — radix-2 (16), mixed-radix
+/// Stockham (20, 24), Rader primes (31: 30 = 2·3·5), and Bluestein (23: 22
+/// has the factor 11) — and grids whose sides are not multiples of 2 or 4,
+/// so every lane width leaves leftover rows and columns: 7×9, 30×31,
+/// 197×198 (pooled on a multi-core machine: 39 006 samples), and 1×n /
+/// n×1 lines.
 #[test]
 fn forced_simd_levels_bitwise_match_one_lane() {
-    for &(rows, cols) in &[(16, 16), (20, 24), (31, 31), (23, 23), (31, 24), (16, 23)] {
+    let levels = executable_levels();
+    for &(rows, cols) in &[
+        (16, 16),
+        (20, 24),
+        (31, 31),
+        (23, 23),
+        (31, 24),
+        (16, 23),
+        (7, 9),
+        (30, 31),
+        (197, 198),
+        (1, 13),
+        (13, 1),
+        (1, 200),
+        (200, 1),
+    ] {
         let fft = Fft2::new(rows, cols);
         let transfer = Field::from_fn(rows, cols, |r, c| plane_value(9, r, c, 5));
-        for &batch_size in &[1usize, 3, 32] {
-            // One forward transform and one spectrum convolve per level.
+        for batch_size in [1usize, 3] {
+            // Forward, inverse, convolve and adjoint convolve per level.
             let run = |level: SimdLevel| {
                 let _g = simd::force(Some(level));
-                let mut transformed = FieldBatch::zeros(batch_size, rows, cols);
-                let mut convolved = FieldBatch::zeros(batch_size, rows, cols);
-                for b in 0..batch_size {
-                    let f = Field::from_fn(rows, cols, |r, c| plane_value(b, r, c, 3));
-                    transformed.copy_plane_from(b, &f);
-                    convolved.copy_plane_from(b, &f);
-                }
                 let mut ws = fft.make_batch_workspace();
-                fft.fft2_batch_with(&mut transformed, &mut ws);
-                let mut plane_ws = fft.make_workspace();
-                fft.convolve_spectrum_batch_with(
-                    convolved.as_mut_slice(),
-                    &transfer,
-                    &mut plane_ws,
-                );
-                (transformed, convolved)
+                (0..4u64)
+                    .map(|step| {
+                        let mut batch = FieldBatch::zeros(batch_size, rows, cols);
+                        for b in 0..batch_size {
+                            let f = Field::from_fn(rows, cols, |r, c| plane_value(b, r, c, step));
+                            batch.copy_plane_from(b, &f);
+                        }
+                        let planes = batch.as_mut_slice();
+                        match step {
+                            0 => fft.process_batch_with(&mut batch, Direction::Forward, &mut ws),
+                            1 => fft.process_batch_with(&mut batch, Direction::Inverse, &mut ws),
+                            2 => fft.convolve_spectrum_batch_with(planes, &transfer, ws.fft_mut()),
+                            _ => fft.convolve_spectrum_adjoint_batch_with(
+                                planes,
+                                &transfer,
+                                ws.fft_mut(),
+                            ),
+                        }
+                        batch
+                    })
+                    .collect::<Vec<_>>()
             };
-            let (one_fft, one_conv) = run(SimdLevel::Scalar);
-            for level in executable_levels() {
-                let (got_fft, got_conv) = run(level);
-                for b in 0..batch_size {
+            let one_lane = run(SimdLevel::Scalar);
+            for &level in &levels {
+                for (step, (got, want)) in run(level).iter().zip(&one_lane).enumerate() {
                     assert_eq!(
-                        got_fft.plane(b),
-                        one_fft.plane(b),
-                        "fft2 {level:?} vs one-lane divergence at plane {b}/{batch_size} \
-                         ({rows}x{cols})"
-                    );
-                    assert_eq!(
-                        got_conv.plane(b),
-                        one_conv.plane(b),
-                        "convolve {level:?} vs one-lane divergence at plane {b}/{batch_size} \
-                         ({rows}x{cols})"
+                        got.as_slice(),
+                        want.as_slice(),
+                        "step {step} at {level:?} differs from one lane \
+                         ({rows}x{cols}, B={batch_size})"
                     );
                 }
             }
@@ -183,59 +201,73 @@ fn forced_simd_levels_bitwise_match_one_lane() {
     }
 }
 
+/// The one-lane 2-D transform composed from 1-D plans: every row through
+/// `FftPlan::process`, then every column. The operation sequence the 2-D
+/// pipeline runs on each row and column at every lane width.
+fn one_lane_fft2(rows: usize, cols: usize, input: &[Complex64], dir: Direction) -> Vec<Complex64> {
+    let (row_plan, col_plan) = (FftPlan::new(cols), FftPlan::new(rows));
+    let mut scratch = Vec::new();
+    let mut out = input.to_vec();
+    for row in out.chunks_exact_mut(cols) {
+        row_plan.process(row, dir, &mut scratch);
+    }
+    let mut column = vec![Complex64::ZERO; rows];
+    for c in 0..cols {
+        for (r, z) in column.iter_mut().enumerate() {
+            *z = out[r * cols + c];
+        }
+        col_plan.process(&mut column, dir, &mut scratch);
+        for (r, z) in column.iter().enumerate() {
+            out[r * cols + c] = *z;
+        }
+    }
+    out
+}
+
 /// Every transform length 1..=512 in both directions, so radix-2,
 /// Stockham, Rader and Bluestein plan selection is covered exhaustively
 /// rather than by sample: the one-lane instance (`FftPlan::process`)
-/// matches `dft_naive`, and batched transforms at every executable level
-/// — a batch of 7 takes x4, x2 and one-lane groups — are bitwise identical
-/// to it, along both the row pass (`1 × n`) and the column pass (`n × 1`).
+/// matches `dft_naive`, and 2-D transforms at every executable level are
+/// bitwise identical to the one-lane composition along the row pass
+/// (`7 × n`) and the column pass (`n × 7`) — 7 lines take one x4 group
+/// plus three leftovers, or three x2 groups plus one.
 #[test]
 fn every_fft_size_matches_naive_dft_and_lanes_match_bitwise() {
-    const B: usize = 7;
     let levels = executable_levels();
     for n in 1..=512usize {
         let plan = FftPlan::new(n);
         let mut scratch = plan.make_scratch();
-        let signals: Vec<Vec<Complex64>> = (0..B)
-            .map(|b| (0..n).map(|c| plane_value(b, 0, c, n as u64)).collect())
-            .collect();
+        let signal: Vec<Complex64> = (0..n).map(|c| plane_value(0, 0, c, n as u64)).collect();
         for dir in [Direction::Forward, Direction::Inverse] {
-            let one_lane: Vec<Vec<Complex64>> = signals
-                .iter()
-                .map(|x| {
-                    let mut y = x.clone();
-                    plan.process(&mut y, dir, &mut scratch);
-                    y
-                })
-                .collect();
-
-            let expect = dft_naive(&signals[0], dir);
+            let mut got = signal.clone();
+            plan.process(&mut got, dir, &mut scratch);
+            let expect = dft_naive(&signal, dir);
             let scale = expect.iter().fold(1.0f64, |m, z| m.max(z.norm()));
-            for (k, (got, want)) in one_lane[0].iter().zip(&expect).enumerate() {
+            for (k, (got, want)) in got.iter().zip(&expect).enumerate() {
                 assert!(
                     (*got - *want).norm() <= 1e-12 * n as f64 * scale,
                     "n={n} {dir:?}: bin {k} is {got:?}, naive DFT {want:?}"
                 );
             }
 
-            for &(rows, cols) in &[(1, n), (n, 1)] {
+            for &(rows, cols) in &[(7, n), (n, 7)] {
                 let fft = Fft2::new(rows, cols);
+                let input: Vec<Complex64> = (0..rows * cols)
+                    .map(|i| plane_value(1, i / cols, i % cols, n as u64))
+                    .collect();
+                let one_lane = one_lane_fft2(rows, cols, &input, dir);
                 for &level in &levels {
                     let _g = simd::force(Some(level));
-                    let mut batch = FieldBatch::zeros(B, rows, cols);
-                    for (b, x) in signals.iter().enumerate() {
-                        batch.plane_mut(b).copy_from_slice(x);
-                    }
+                    let mut batch = FieldBatch::zeros(1, rows, cols);
+                    batch.plane_mut(0).copy_from_slice(&input);
                     let mut ws = fft.make_batch_workspace();
                     fft.process_batch_with(&mut batch, dir, &mut ws);
-                    for (b, y) in one_lane.iter().enumerate() {
-                        assert_eq!(
-                            batch.plane(b),
-                            &y[..],
-                            "n={n} {dir:?} {rows}x{cols} {level:?}: plane {b} differs \
-                             from the one-lane instance"
-                        );
-                    }
+                    assert_eq!(
+                        batch.plane(0),
+                        &one_lane[..],
+                        "n={n} {dir:?} {rows}x{cols} {level:?}: differs from the one-lane \
+                         composition"
+                    );
                 }
             }
         }

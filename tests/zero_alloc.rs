@@ -1,6 +1,7 @@
-//! Counting-allocator proof of the zero-copy propagation pipeline: after
-//! warm-up, the workspace-threaded forward pass performs **zero heap
-//! allocations** per sample — and, with the trace ring, so does the full
+//! Counting-allocator proof of the zero-copy propagation pipeline: from
+//! its first call after `make_workspace`, the workspace-threaded forward
+//! pass performs **zero heap allocations** per sample — and, after
+//! warm-up, with the trace ring, so does the full
 //! forward-trace + backward training step. The batched paths
 //! (`infer_batch_into`, `forward_trace_batch_into` +
 //! `backward_batch_with` through a `BatchTraceRing`) carry the same
@@ -73,9 +74,21 @@ fn steady_state_forward_pass_allocates_nothing() {
     let mut ws = model.make_workspace();
     let mut logits = Vec::with_capacity(model.num_classes());
 
-    // Warm-up: fills the global plan/transfer caches, sizes the workspace
-    // scratch, and reserves the logits buffer.
-    for _ in 0..3 {
+    // `make_workspace` sizes the FFT lane staging for the dispatch width
+    // and the plans and transfer kernels were built with the model, so
+    // the very first per-sample forward must already be allocation-free.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    model.infer_into(&input, &mut ws, &mut logits);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "the first forward pass after make_workspace must not allocate (got {} allocations \
+         at {:?})",
+        after - before,
+        lr_tensor::simd::dispatch()
+    );
+    for _ in 0..2 {
         model.infer_into(&input, &mut ws, &mut logits);
     }
     let reference_logits = logits.clone();
